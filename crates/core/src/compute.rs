@@ -9,7 +9,11 @@
 //! benchmark's own runtime, so the engine measures L1/L2 hit rates on the
 //! first batch of each layer index and reuses them for the rest of the
 //! epoch — later batches of the same layer are statistically identical
-//! streams (same sampler, same graph, same fanout).
+//! streams (same sampler, same graph, same fanout). Even once per layer,
+//! the replay is the largest single host cost of a simulated epoch: on
+//! hostbench's `igb-dgl` workload (8 batches per epoch) it takes 15–18 ms
+//! of a 45–55 ms traced epoch on a 2-vCPU x86 VM, so replaying every
+//! batch would more than triple the epoch's wall time.
 
 use crate::config::ComputeMode;
 use fastgl_gnn::{LayerWorkload, ModelKind};

@@ -3,6 +3,7 @@
 //! same thread count are bit-identical too.
 
 use fastgl_gnn::aggregate::{mean_aggregate, sum_aggregate_backward};
+use fastgl_gpusim::{AggregationKernel, CostParams, DeviceSpec, SubgraphLayerTrace};
 use fastgl_graph::generate::rmat::{self, RmatConfig};
 use fastgl_graph::{DeterministicRng, NodeId};
 use fastgl_sample::{Block, FusedIdMap, NeighborSampler, SampledSubgraph};
@@ -139,6 +140,79 @@ fn full_minibatch_bit_identical_across_thread_counts() {
                 base_h.as_slice(),
                 "minibatch output diverged at {threads} threads (run {run})"
             );
+        }
+    }
+}
+
+/// A layer of `num_dst` targets, each aggregating `deg` of `num_src`
+/// sources drawn by a fixed LCG (no locality, like a sampled layer).
+fn random_layer(num_dst: u64, deg: u64, num_src: u64) -> (Vec<u64>, Vec<u64>) {
+    let mut offsets = vec![0u64];
+    let mut sources = Vec::with_capacity((num_dst * deg) as usize);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..num_dst {
+        for _ in 0..deg {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            sources.push((x >> 33) % num_src);
+        }
+        offsets.push(sources.len() as u64);
+    }
+    (offsets, sources)
+}
+
+/// The naive aggregation's cache replay splits the lines into
+/// `gcd(l1_sets, l2_sets)` independent set classes and replays them in
+/// parallel; its L1/L2 counts must not depend on the thread count, for a
+/// dataset-scaled geometry (4 L1 sets and 32 L2 sets: 4 classes), one
+/// with a single class (128 L1 sets, 33 L2 sets), and a replay cut off by
+/// `max_trace_accesses`.
+#[test]
+fn cache_replay_bit_identical_across_thread_counts() {
+    let rtx = DeviceSpec::rtx3090();
+    let scaled =
+        AggregationKernel::new(rtx.clone(), CostParams::default()).with_capacity_scale(1.0 / 256.0);
+    // An L2 of 33 sets: odd, so it shares no factor with the L1's 128.
+    let odd = DeviceSpec {
+        l2_bytes: 33 * 16 * rtx.line_bytes,
+        ..rtx.clone()
+    };
+    let single_class = AggregationKernel::new(odd, CostParams::default());
+    let mut truncated = scaled.clone();
+    // 27k edges count 4 accesses each, so the replay stops after 5k edges.
+    truncated.max_trace_accesses = 20_000;
+
+    let (offsets, sources) = random_layer(3_000, 9, 20_000);
+    let cases = [
+        ("dataset-scaled", scaled, 100),
+        ("single class", single_class, 256),
+        ("truncated", truncated, 100),
+    ];
+    for (name, kernel, feature_dim) in cases {
+        let trace = SubgraphLayerTrace {
+            offsets: &offsets,
+            sources: &sources,
+            num_sources: 20_000,
+            feature_dim,
+        };
+        let replay = || {
+            let cost = kernel.naive_cost(&trace);
+            (cost.l1, cost.l2)
+        };
+        let baseline = with_threads(1, replay);
+        assert!(
+            baseline.0.hits > 0 && baseline.1.hits > 0,
+            "{name}: no hits"
+        );
+        for threads in [1usize, 2, 8] {
+            for run in 0..2 {
+                assert_eq!(
+                    with_threads(threads, replay),
+                    baseline,
+                    "{name}: replay diverged at {threads} threads (run {run})"
+                );
+            }
         }
     }
 }

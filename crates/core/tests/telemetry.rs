@@ -109,6 +109,9 @@ fn pipeline_counters_cross_check_epoch_stats() {
     assert!(snap.counters.contains_key("sample.edges_sampled"));
     // Every epoch produced one wall span and its exporters parse.
     assert_eq!(snap.span_totals()["pipeline.epoch"].count, 2);
+    // Each epoch replays the cache simulator once per layer (two here).
+    assert_eq!(snap.span_totals()["gpusim.replay"].count, 4);
+    assert!(counter(fastgl_telemetry::names::GPUSIM_REPLAY_LINES) > 0);
     let trace = fastgl_telemetry::export::chrome_trace(&snap);
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("pipeline.epoch"));

@@ -19,6 +19,8 @@
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::kernel::{KernelCost, KernelProfile};
 use crate::spec::{CostParams, DeviceSpec};
+use fastgl_tensor::parallel::par_chunk_results;
+use std::ops::Range;
 
 /// Base address of the traced feature region.
 const FEAT_BASE: u64 = 0;
@@ -147,7 +149,11 @@ impl AggregationKernel {
     /// the L1/L2 caches from global memory, and the hit rates are measured
     /// by replaying the actual interleaved access stream.
     pub fn naive_cost(&self, trace: &SubgraphLayerTrace<'_>) -> AggregationCost {
-        let (l1, l2) = self.replay_caches(trace);
+        let (l1, l2) = {
+            let _span = fastgl_telemetry::span("gpusim.replay").with_u64("edges", trace.nnz());
+            self.replay_caches(trace)
+        };
+        fastgl_telemetry::counter_add(fastgl_telemetry::names::GPUSIM_REPLAY_LINES, l1.accesses());
         self.naive_cost_inner(trace, l1, l2)
     }
 
@@ -270,22 +276,111 @@ impl AggregationKernel {
     /// `resident_blocks` of its blocks in flight and their access streams
     /// interleave one edge at a time — the reason irregular aggregation
     /// sees so little locality on a real GPU.
+    ///
+    /// With `g = gcd(l1_sets, l2_sets)`, a line's class `line % g` fixes
+    /// its L1 set and its L2 set modulo `g`, so the lines of one class
+    /// only ever meet lines of the same class in either cache. The classes
+    /// are therefore independent sub-simulations, each seeing its accesses
+    /// in the original order; they replay in parallel and their counts
+    /// sum to exactly those of one serial replay.
     fn replay_caches(&self, trace: &SubgraphLayerTrace<'_>) -> (CacheStats, CacheStats) {
-        let d_bytes = trace.feature_dim as u64 * 4;
+        let (l1, l2) = self.replay_geometry();
+        let classes = gcd(l1.num_sets(), l2.num_sets());
+        par_chunk_results(classes, 1, |range| {
+            self.replay_classes(trace, l1, l2, classes, range)
+        })
+        .into_iter()
+        .fold(
+            (CacheStats::default(), CacheStats::default()),
+            |(a1, a2), (b1, b2)| (sum_stats(a1, b1), sum_stats(a2, b2)),
+        )
+    }
+
+    /// The scaled L1 and L2 the replay simulates.
+    fn replay_geometry(&self) -> (CacheConfig, CacheConfig) {
         let scaled = |bytes: u64, min_lines: u64| {
             ((bytes as f64 * self.capacity_scale) as u64).max(self.device.line_bytes * min_lines)
         };
-        let mut l1 = Cache::new(CacheConfig {
+        let l1 = CacheConfig {
             capacity_bytes: scaled(self.device.l1_bytes_per_sm, 32),
             line_bytes: self.device.line_bytes,
             ways: 8,
-        });
-        let mut l2 = Cache::new(CacheConfig {
+        };
+        let l2 = CacheConfig {
             capacity_bytes: scaled(self.device.l2_bytes, 512),
             line_bytes: self.device.line_bytes,
             ways: 16,
-        });
+        };
+        (l1, l2)
+    }
 
+    /// Replays the lines whose class `line % classes` lies in the
+    /// non-empty range `mine` through fresh caches of geometries `l1`/`l2`.
+    fn replay_classes(
+        &self,
+        trace: &SubgraphLayerTrace<'_>,
+        l1: CacheConfig,
+        l2: CacheConfig,
+        classes: usize,
+        mine: Range<usize>,
+    ) -> (CacheStats, CacheStats) {
+        debug_assert!(!mine.is_empty() && mine.end <= classes);
+        let (sets1, sets2) = (l1.num_sets() as u64, l2.num_sets() as u64);
+        let mut l1 = Cache::new(l1);
+        let mut l2 = Cache::new(l2);
+        let (g, c0, width) = (classes as u64, mine.start as u64, mine.len() as u64);
+        let line_bytes = self.device.line_bytes;
+        let d_bytes = trace.feature_dim as u64 * 4;
+        // Touches the feature row at `addr` line by line — L1 first, misses
+        // fall through to L2 — skipping lines of other classes. After each
+        // run of `width` classes the next line of `mine` is `g - width + 1`
+        // lines on, which never exceeds either cache's set count.
+        let touch = |addr: u64| {
+            let first = addr / line_bytes;
+            let last = (addr + d_bytes - 1) / line_bytes;
+            let class = first % g;
+            let (skip, mut k) = match class.checked_sub(c0) {
+                Some(k) if k < width => (0, k),
+                Some(_) => (g - class + c0, 0),
+                None => (c0 - class, 0),
+            };
+            let mut line = first + skip;
+            if line > last {
+                return;
+            }
+            let mut at1 = LineCursor::at(line, sets1);
+            let mut at2 = LineCursor::at(line, sets2);
+            loop {
+                if !l1.access_set(at1.set, at1.tag) {
+                    l2.access_set(at2.set, at2.tag);
+                }
+                k += 1;
+                let step = if k == width {
+                    k = 0;
+                    g - width + 1
+                } else {
+                    1
+                };
+                line += step;
+                if line > last {
+                    break;
+                }
+                at1.advance(step);
+                at2.advance(step);
+            }
+        };
+
+        if d_bytes > 0 {
+            self.for_each_gathered_row(trace, touch);
+        }
+        (l1.stats(), l2.stats())
+    }
+
+    /// Calls `gather` with the address of each feature row the
+    /// representative SM gathers, in the interleaved order its resident
+    /// blocks issue them, up to the `max_trace_accesses` cut-off.
+    fn for_each_gathered_row(&self, trace: &SubgraphLayerTrace<'_>, mut gather: impl FnMut(u64)) {
+        let d_bytes = trace.feature_dim as u64 * 4;
         let num_targets = trace.num_targets() as usize;
         let bt = self.block_targets;
         // All blocks stream through one simulated SM; what shapes the hit
@@ -309,23 +404,9 @@ impl AggregationKernel {
         };
         refill(&mut in_flight);
 
+        // The cut-off counts edges, not replayed lines, so every set-class
+        // replay stops at the same edge.
         let mut accesses: u64 = 0;
-        let touch = |l1: &mut Cache, l2: &mut Cache, addr: u64, bytes: u64| {
-            // Access line-by-line: L1 first, misses fall through to L2.
-            if bytes == 0 {
-                return;
-            }
-            let line = self.device.line_bytes;
-            let first = addr / line;
-            let last = (addr + bytes - 1) / line;
-            for ln in first..=last {
-                let a = ln * line;
-                if !l1.access(a) {
-                    l2.access(a);
-                }
-            }
-        };
-
         'outer: while !in_flight.is_empty() {
             let mut slot = 0;
             while slot < in_flight.len() {
@@ -349,8 +430,7 @@ impl AggregationKernel {
                 // per-edge weight is a warp-broadcast scalar, so neither
                 // generates a per-edge global load on real hardware (their
                 // traffic is still charged in the Eq. 3 byte census).
-                let v = trace.sources[e];
-                touch(&mut l1, &mut l2, FEAT_BASE + v * d_bytes, d_bytes);
+                gather(FEAT_BASE + trace.sources[e] * d_bytes);
                 in_flight[slot].2 = e + 1;
                 slot += 1;
                 accesses += 1 + d_bytes / self.device.line_bytes;
@@ -359,7 +439,51 @@ impl AggregationKernel {
                 }
             }
         }
-        (l1.stats(), l2.stats())
+    }
+}
+
+/// The `(set, tag)` of a line in a cache of `sets` sets, stepped forward
+/// without a division.
+#[derive(Debug, Clone, Copy)]
+struct LineCursor {
+    set: usize,
+    tag: u64,
+    sets: u64,
+}
+
+impl LineCursor {
+    fn at(line: u64, sets: u64) -> Self {
+        Self {
+            set: (line % sets) as usize,
+            tag: line / sets,
+            sets,
+        }
+    }
+
+    /// Moves `n <= sets` lines forward.
+    #[inline]
+    fn advance(&mut self, n: u64) {
+        let set = self.set as u64 + n;
+        if set >= self.sets {
+            self.set = (set - self.sets) as usize;
+            self.tag += 1;
+        } else {
+            self.set = set as usize;
+        }
+    }
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+fn sum_stats(a: CacheStats, b: CacheStats) -> CacheStats {
+    CacheStats {
+        hits: a.hits + b.hits,
+        misses: a.misses + b.misses,
     }
 }
 
@@ -536,6 +660,66 @@ mod tests {
         // Paper Table 2: naive aggregation achieves ~340-400 GFLOP/s.
         let g = c.gflops();
         assert!(g > 50.0 && g < 2_000.0, "gflops {g}");
+    }
+
+    /// The set-class replay, whole or split into any partition of its
+    /// classes, counts exactly what a plain line-by-line replay of the same
+    /// stream through [`Cache::access`] counts.
+    #[test]
+    fn class_replay_matches_a_plain_replay() {
+        let (offsets, sources) = layer(2_000, 9, 3_000);
+        let rtx = DeviceSpec::rtx3090();
+        let odd_l2 = DeviceSpec {
+            l2_bytes: 33 * 16 * rtx.line_bytes,
+            ..rtx.clone()
+        };
+        let scaled = kernel().with_capacity_scale(1.0 / 256.0);
+        let mut truncated = scaled.clone();
+        truncated.max_trace_accesses = 10_001;
+        let kernels = [
+            (scaled, 4),
+            (kernel(), 128),
+            (AggregationKernel::new(odd_l2, CostParams::default()), 1),
+            (truncated, 4),
+        ];
+        // Rows of 1, 3.125, 8 and 0.25 lines: aligned, straddling, and
+        // several rows per line.
+        for (k, classes) in kernels {
+            for feature_dim in [32, 100, 256, 8] {
+                let trace = SubgraphLayerTrace {
+                    offsets: &offsets,
+                    sources: &sources,
+                    num_sources: 3_000,
+                    feature_dim,
+                };
+                let (c1, c2) = k.replay_geometry();
+                assert_eq!(gcd(c1.num_sets(), c2.num_sets()), classes);
+                let (mut l1, mut l2) = (Cache::new(c1), Cache::new(c2));
+                let line = k.device.line_bytes;
+                let d_bytes = feature_dim as u64 * 4;
+                k.for_each_gathered_row(&trace, |addr| {
+                    for ln in addr / line..=(addr + d_bytes - 1) / line {
+                        if !l1.access(ln * line) {
+                            l2.access(ln * line);
+                        }
+                    }
+                });
+                let plain = (l1.stats(), l2.stats());
+                assert!(plain.0.hits + plain.1.hits > 0, "no hits: {plain:?}");
+                assert_eq!(k.replay_caches(&trace), plain, "dim {feature_dim}");
+                for parts in [2, 3, classes].into_iter().filter(|&p| p <= classes) {
+                    let split = (0..parts)
+                        .map(|p| {
+                            let mine = p * classes / parts..(p + 1) * classes / parts;
+                            k.replay_classes(&trace, c1, c2, classes, mine)
+                        })
+                        .fold(Default::default(), |(a1, a2), (b1, b2)| {
+                            (sum_stats(a1, b1), sum_stats(a2, b2))
+                        });
+                    assert_eq!(split, plain, "dim {feature_dim}, {parts} parts");
+                }
+            }
+        }
     }
 
     #[test]

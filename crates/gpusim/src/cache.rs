@@ -67,7 +67,18 @@ impl CacheStats {
     }
 }
 
+/// Tag of an empty way. A real tag is `line / num_sets`, which can only
+/// reach `u64::MAX` for the last byte of the address space in a one-set
+/// cache with 1-byte lines.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative cache with true-LRU replacement.
+///
+/// Each set is a ring of `ways` tags in LRU order: the least-recently-used
+/// way sits at the set's `head`, the most-recently-used one just before
+/// it, and empty ways (holding a `u64::MAX` sentinel) sit at the LRU end.
+/// A miss overwrites the head and advances it, so it costs no shifting; a
+/// hit rotates the ways between the hit slot and the MRU slot down by one.
 ///
 /// # Example
 ///
@@ -83,9 +94,10 @@ impl CacheStats {
 pub struct Cache {
     config: CacheConfig,
     num_sets: usize,
-    /// `sets[s]` holds the resident line tags of set `s` in LRU order,
-    /// most-recently-used last.
-    sets: Vec<Vec<u64>>,
+    /// Set `s` is the ring `tags[s * ways..(s + 1) * ways]`.
+    tags: Vec<u64>,
+    /// `head[s]` is the ring index of set `s`'s least-recently-used way.
+    head: Vec<u32>,
     stats: CacheStats,
 }
 
@@ -97,10 +109,12 @@ impl Cache {
     /// Panics if the geometry is degenerate (see [`CacheConfig::num_sets`]).
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        assert!(u32::try_from(config.ways).is_ok(), "too many ways");
         Self {
             config,
             num_sets,
-            sets: vec![Vec::with_capacity(config.ways); num_sets],
+            tags: vec![EMPTY; num_sets * config.ways],
+            head: vec![0; num_sets],
             stats: CacheStats::default(),
         }
     }
@@ -109,23 +123,37 @@ impl Cache {
     /// line, evicting the least-recently-used line of the set if full.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.config.line_bytes;
-        let set_idx = (line % self.num_sets as u64) as usize;
-        let tag = line / self.num_sets as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.push(t);
-            self.stats.hits += 1;
-            true
-        } else {
-            if set.len() == self.config.ways {
-                set.remove(0);
+        let sets = self.num_sets as u64;
+        self.access_set((line % sets) as usize, line / sets)
+    }
+
+    /// Accesses the line with `tag` in set `set` (the line number is
+    /// `tag * num_sets + set`); returns `true` on hit.
+    #[inline]
+    pub(crate) fn access_set(&mut self, set: usize, tag: u64) -> bool {
+        debug_assert!(tag != EMPTY, "tag collides with the empty-way marker");
+        let ways = self.config.ways;
+        let ring = &mut self.tags[set * ways..(set + 1) * ways];
+        // Compare every way without early exit so the search vectorises.
+        let hit = ring.iter().fold(false, |found, &t| found | (t == tag));
+        let head = self.head[set] as usize;
+        if hit {
+            let mru = if head == 0 { ways - 1 } else { head - 1 };
+            let mut i = ring.iter().position(|&t| t == tag).unwrap_or(mru);
+            while i != mru {
+                let next = if i + 1 == ways { 0 } else { i + 1 };
+                ring[i] = ring[next];
+                i = next;
             }
-            set.push(tag);
+            ring[mru] = tag;
+            self.stats.hits += 1;
+        } else {
+            ring[head] = tag;
+            let next = head + 1;
+            self.head[set] = if next == ways { 0 } else { next as u32 };
             self.stats.misses += 1;
-            false
         }
+        hit
     }
 
     /// Accesses a contiguous byte range, one access per touched line.
@@ -157,9 +185,8 @@ impl Cache {
 
     /// Empties the cache and zeroes the counters.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(EMPTY);
+        self.head.fill(0);
         self.stats = CacheStats::default();
     }
 }
@@ -167,6 +194,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 4 lines of 64 bytes, 2 ways => 2 sets.
@@ -268,5 +296,85 @@ mod tests {
         let c = tiny();
         assert_eq!(c.config().ways, 2);
         assert_eq!(c.config().num_sets(), 2);
+    }
+
+    /// The straightforward true-LRU cache: each set a `Vec` of tags,
+    /// most-recently-used last. [`Cache`] must agree with it exactly.
+    struct ReferenceLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        stats: CacheStats,
+    }
+
+    impl ReferenceLru {
+        fn new(config: CacheConfig) -> Self {
+            Self {
+                line_bytes: config.line_bytes,
+                ways: config.ways,
+                sets: vec![Vec::with_capacity(config.ways); config.num_sets()],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let num_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % num_sets) as usize];
+            let tag = line / num_sets;
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                let t = set.remove(pos);
+                set.push(t);
+                self.stats.hits += 1;
+                true
+            } else {
+                if set.len() == self.ways {
+                    set.remove(0);
+                }
+                set.push(tag);
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
+    proptest! {
+        /// Random streams over small geometries, with working sets near
+        /// capacity so hits land at every LRU position, give the same
+        /// hit/miss on every access as the reference LRU.
+        #[test]
+        fn ring_lru_matches_reference(
+            geometry in (1u64..9, 1usize..17, 0u64..2),
+            stream in prop::collection::vec(0u64..1_000_000, 1..600),
+            resets in 0usize..600,
+        ) {
+            let (sets, ways, line_shift) = geometry;
+            let line_bytes = 32 << line_shift;
+            let config = CacheConfig {
+                capacity_bytes: sets * ways as u64 * line_bytes,
+                line_bytes,
+                ways,
+            };
+            let mut cache = Cache::new(config);
+            let mut reference = ReferenceLru::new(config);
+            // Draw lines from a range a little larger than the capacity.
+            let lines = (sets * ways as u64 * 5).div_ceil(4);
+            for (i, &x) in stream.iter().enumerate() {
+                if i == resets {
+                    cache.reset();
+                    reference = ReferenceLru::new(config);
+                }
+                let addr = (x % lines) * line_bytes + x % line_bytes;
+                prop_assert_eq!(
+                    cache.access(addr),
+                    reference.access(addr),
+                    "access {} (addr {}) in {:?}",
+                    i,
+                    addr,
+                    config
+                );
+            }
+            prop_assert_eq!(cache.stats(), reference.stats);
+        }
     }
 }

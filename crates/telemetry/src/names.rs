@@ -92,6 +92,10 @@ pub const GPUSIM_BYTES_GLOBAL: &str = "gpusim.bytes_global";
 /// Simulated kernel launches.
 pub const GPUSIM_KERNEL_LAUNCHES: &str = "gpusim.kernel_launches";
 
+/// Cache lines replayed through the simulated L1 to measure the naive
+/// aggregation's hit rates (L1 line accesses, summed over replays).
+pub const GPUSIM_REPLAY_LINES: &str = "gpusim.replay_lines";
+
 // ---------------------------------------------------------------------
 // Resilience / fault-injection counters.
 // ---------------------------------------------------------------------
@@ -182,6 +186,7 @@ pub fn all() -> &'static [&'static str] {
         GPUSIM_BYTES_L2,
         GPUSIM_BYTES_GLOBAL,
         GPUSIM_KERNEL_LAUNCHES,
+        GPUSIM_REPLAY_LINES,
         FAULT_PCIE_STALLS,
         FAULT_TRANSFER_RETRIES,
         FAULT_OVERHEAD_NS,
