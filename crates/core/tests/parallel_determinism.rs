@@ -6,7 +6,9 @@ use fastgl_gnn::aggregate::{mean_aggregate, sum_aggregate_backward};
 use fastgl_gpusim::{AggregationKernel, CostParams, DeviceSpec, SubgraphLayerTrace};
 use fastgl_graph::generate::rmat::{self, RmatConfig};
 use fastgl_graph::{DeterministicRng, NodeId};
-use fastgl_sample::{Block, FusedIdMap, NeighborSampler, SampledSubgraph};
+use fastgl_sample::{
+    BaselineIdMap, Block, FusedIdMap, NeighborSampler, SampleStats, SampledSubgraph,
+};
 use fastgl_tensor::{parallel, Matrix};
 use std::sync::Mutex;
 
@@ -101,11 +103,21 @@ fn aggregation_bit_identical_across_thread_counts() {
 }
 
 /// One full mini-batch — sample, gather, aggregate, dense update — must be
-/// bit-identical across `FASTGL_THREADS ∈ {1, 2, 8}` and repeated runs.
+/// bit-identical across `FASTGL_THREADS ∈ {1, 2, 8}` and repeated runs,
+/// down to the sampler's statistics, with either ID map.
 #[test]
 fn full_minibatch_bit_identical_across_thread_counts() {
     let graph = rmat::generate(&RmatConfig::social(3_000, 24_000), 5);
-    let seeds: Vec<NodeId> = (0..256).map(|i| NodeId(i * 11 % 3_000)).collect();
+    // Not a multiple of the sampler's grain, so the seed frontier splits
+    // into uneven chunks.
+    let num_seeds = 3 * parallel::SAMPLE_GRAIN_SEEDS as u64 + 17;
+    let seeds: Vec<NodeId> = (0..num_seeds).map(|i| NodeId(i * 11 % 3_000)).collect();
+    let fanouts = vec![4, 6, 8];
+    // Both draw paths run: nodes that keep every neighbour and nodes whose
+    // neighbours are sampled.
+    let degrees: Vec<usize> = seeds.iter().map(|&s| graph.neighbors(s).len()).collect();
+    assert!(degrees.iter().any(|&d| d <= fanouts[0]));
+    assert!(degrees.iter().any(|&d| d > fanouts[2]));
     let dim = 32;
     let feats: Vec<f32> = {
         let mut rng = DeterministicRng::seed(7);
@@ -113,10 +125,22 @@ fn full_minibatch_bit_identical_across_thread_counts() {
     };
     let weight = filled(dim, 16, 8);
 
-    let minibatch = || -> (SampledSubgraph, Matrix) {
-        let sampler = NeighborSampler::new(vec![4, 6]);
-        let mut rng = DeterministicRng::seed(42);
-        let (sg, _) = sampler.sample(&graph, &seeds, &FusedIdMap::new(), &mut rng);
+    type Sampled = (SampledSubgraph, SampleStats);
+    let minibatch = || -> (Sampled, Sampled, Matrix) {
+        let sampler = NeighborSampler::new(fanouts.clone());
+        let fused = sampler.sample(
+            &graph,
+            &seeds,
+            &FusedIdMap::new(),
+            &mut DeterministicRng::seed(42),
+        );
+        let baseline = sampler.sample(
+            &graph,
+            &seeds,
+            &BaselineIdMap::new(),
+            &mut DeterministicRng::seed(42),
+        );
+        let sg = &fused.0;
         let idx: Vec<usize> = sg.nodes.iter().map(|n| n.index()).collect();
         let gathered = Matrix::gather_flat(&feats, dim, 3_000, &idx);
         // One hop of the model: aggregate the widest block, then the dense
@@ -124,16 +148,23 @@ fn full_minibatch_bit_identical_across_thread_counts() {
         let h = mean_aggregate(&sg.blocks[0], &gathered)
             .matmul(&weight)
             .map(|x| x.max(0.0));
-        (sg, h)
+        (fused, baseline, h)
     };
 
-    let (base_sg, base_h) = with_threads(1, minibatch);
+    let (base_fused, base_baseline, base_h) = with_threads(1, minibatch);
+    // Both maps number IDs by first occurrence: same subgraph.
+    assert_eq!(base_fused.0, base_baseline.0);
+    assert_eq!(base_fused.0.blocks.len(), 3);
     for threads in [1usize, 2, 8] {
         for run in 0..2 {
-            let (sg, h) = with_threads(threads, minibatch);
+            let (fused, baseline, h) = with_threads(threads, minibatch);
             assert_eq!(
-                sg, base_sg,
-                "sampled subgraph diverged at {threads} threads (run {run})"
+                fused, base_fused,
+                "Fused-Map sample diverged at {threads} threads (run {run})"
+            );
+            assert_eq!(
+                baseline, base_baseline,
+                "baseline-map sample diverged at {threads} threads (run {run})"
             );
             assert_eq!(
                 h.as_slice(),

@@ -111,6 +111,11 @@ fn pipeline_counters_cross_check_epoch_stats() {
     assert_eq!(snap.span_totals()["pipeline.epoch"].count, 2);
     // Each epoch replays the cache simulator once per layer (two here).
     assert_eq!(snap.span_totals()["gpusim.replay"].count, 4);
+    // Each of the seven sampler calls draws and ID-maps once per hop
+    // (two hops here).
+    assert_eq!(snap.span_totals()["sample.neighbor"].count, 7);
+    assert_eq!(snap.span_totals()["sample.draw"].count, 14);
+    assert_eq!(snap.span_totals()["sample.id_map"].count, 14);
     assert!(counter(fastgl_telemetry::names::GPUSIM_REPLAY_LINES) > 0);
     let trace = fastgl_telemetry::export::chrome_trace(&snap);
     assert!(trace.contains("\"traceEvents\""));

@@ -127,24 +127,51 @@ impl DeterministicRng {
 
     /// Samples `k` distinct indices from `[0, n)`.
     ///
-    /// Uses Floyd's algorithm; `O(k)` expected time, independent of `n`.
+    /// Floyd's algorithm, independent of `n`; the same draws as
+    /// [`sample_distinct_into`](Self::sample_distinct_into).
     ///
     /// # Panics
     ///
     /// Panics if `k > n`.
     pub fn sample_distinct(&mut self, n: u64, k: usize) -> Vec<u64> {
-        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
-        let mut chosen = std::collections::HashSet::with_capacity(k);
         let mut out = Vec::with_capacity(k);
+        self.sample_distinct_into(n, k, &mut out);
+        out
+    }
+
+    /// Appends `k` distinct indices from `[0, n)` to `out` (Floyd's
+    /// algorithm).
+    ///
+    /// Floyd's set of chosen values always equals the picks made so far,
+    /// so membership is a linear scan of the `k` entries this call
+    /// appended: no hash set, no allocation beyond `out` growing. Entries
+    /// already in `out` are neither read nor changed. Meant for small `k`
+    /// (a sampler's fanout); the scan makes it `O(k²)`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fastgl_graph::rng::DeterministicRng;
+    ///
+    /// let mut out = vec![7];
+    /// DeterministicRng::seed(1).sample_distinct_into(10, 3, &mut out);
+    /// assert_eq!(out.len(), 4);
+    /// assert_eq!(out[1..], DeterministicRng::seed(1).sample_distinct(10, 3)[..]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_distinct_into(&mut self, n: u64, k: usize, out: &mut Vec<u64>) {
+        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
+        let start = out.len();
+        out.reserve(k);
         for j in (n - k as u64)..n {
             let t = self.below(j + 1);
-            let v = if chosen.insert(t) { t } else { j };
-            if v != t {
-                chosen.insert(v);
-            }
+            // Every earlier pick is below `j`, so `j` itself is always new.
+            let v = if out[start..].contains(&t) { j } else { t };
             out.push(v);
         }
-        out
     }
 }
 
@@ -178,6 +205,7 @@ impl RngCore for DeterministicRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_stream() {
@@ -263,6 +291,50 @@ mod tests {
         let mut got = rng.sample_distinct(10, 10);
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The original Floyd's algorithm over a `HashSet`, kept as the
+    /// reference for `sample_distinct_into`.
+    fn reference_sample_distinct(rng: &mut DeterministicRng, n: u64, k: usize) -> Vec<u64> {
+        let mut chosen = std::collections::HashSet::with_capacity(k);
+        let mut out = Vec::with_capacity(k);
+        for j in (n - k as u64)..n {
+            let t = rng.below(j + 1);
+            let v = if chosen.insert(t) { t } else { j };
+            if v != t {
+                chosen.insert(v);
+            }
+            out.push(v);
+        }
+        out
+    }
+
+    proptest! {
+        /// Appending into an empty or a non-empty buffer gives the hash-set
+        /// Floyd's draws and leaves the RNG in the same state, for `n` up
+        /// to 2^40 and `k` up to `min(n, 64)`. Small `n` makes repeated
+        /// picks (the `j` branch) common; the prefix holds values below
+        /// `n` that the scan must ignore.
+        #[test]
+        fn sample_distinct_into_matches_hash_set_floyd(
+            seed_and_n in (0u64..u64::MAX, 0u32..41, 0u64..u64::MAX),
+            k_raw in 0usize..65,
+            prefix in prop::collection::vec(0u64..u64::MAX, 0..8),
+        ) {
+            let (seed, bits, n_raw) = seed_and_n;
+            let n = 1 + n_raw % (1u64 << bits);
+            let k = k_raw % (n.min(64) as usize + 1);
+            let mut reference_rng = DeterministicRng::seed(seed);
+            let expected = reference_sample_distinct(&mut reference_rng, n, k);
+            for prefix in [Vec::new(), prefix.iter().map(|x| x % n).collect::<Vec<u64>>()] {
+                let mut rng = DeterministicRng::seed(seed);
+                let mut out = prefix.clone();
+                rng.sample_distinct_into(n, k, &mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &expected[..], "n {} k {}", n, k);
+                prop_assert_eq!(&rng, &reference_rng);
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! Steps are separate kernels, so two device-wide synchronizations separate
 //! them, and every unique ID pays a serialized atomic in step 2. The event
 //! counts recorded here feed the simulator's sample-phase cost model.
+//!
+//! The host runs the three kernels as one insertion pass (`map_once`) and
+//! charges each kernel's probes from it: the table never deletes, so the
+//! walks of kernels 2 and 3 from an ID's hash slot are exactly as long as
+//! its walk in kernel 1, and the modelled total is three times the insert
+//! pass's probes.
 
-use super::{fib_hash, table_capacity, IdMap, IdMapOutput, IdMapStats};
-
-const EMPTY: u64 = u64::MAX;
+use super::{map_once, table_capacity, IdMap, IdMapOutput, IdMapStats};
 
 /// The DGL-style ID map. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,66 +34,21 @@ impl BaselineIdMap {
 
 impl IdMap for BaselineIdMap {
     fn map(&self, ids: &[u64]) -> IdMapOutput {
-        let capacity = table_capacity(ids.len());
-        let bits = capacity.trailing_zeros();
-        let mut keys = vec![EMPTY; capacity];
-        let mut values = vec![0u64; capacity];
-        let mut stats = IdMapStats {
+        let (unique, locals, probes) = map_once(ids, table_capacity(ids.len()));
+        let stats = IdMapStats {
             total_ids: ids.len() as u64,
+            unique_ids: unique.len() as u64,
+            // Kernels 1 (insert), 2 (assign) and 3 (transform) each walk
+            // every ID to its slot.
+            probes: 3 * probes,
+            cas_conflicts: 0,
             kernel_launches: 3,
             device_syncs: 2,
-            ..Default::default()
+            // Kernel 2 serializes one atomic per new ID.
+            sync_serializations: unique.len() as u64,
+            // Kernel 3 looks every ID up.
+            lookups: ids.len() as u64,
         };
-
-        // Kernel 1: insert every ID into the table (duplicates collapse).
-        for &id in ids {
-            debug_assert_ne!(id, EMPTY, "EMPTY sentinel is reserved");
-            let mut slot = fib_hash(id, bits);
-            loop {
-                if keys[slot] == EMPTY {
-                    keys[slot] = id;
-                    break;
-                }
-                if keys[slot] == id {
-                    break;
-                }
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-        }
-
-        // Kernel 2: assign local IDs in first-occurrence order. On the GPU
-        // every *new* ID requires a serialized atomic increment; we count
-        // one synchronization event per unique ID.
-        let mut unique = Vec::new();
-        let mut seen = vec![false; capacity];
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-            if !seen[slot] {
-                seen[slot] = true;
-                values[slot] = unique.len() as u64;
-                unique.push(id);
-                stats.sync_serializations += 1;
-            }
-        }
-        stats.unique_ids = unique.len() as u64;
-
-        // Kernel 3: transform the stream.
-        let mut locals = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-            locals.push(values[slot]);
-            stats.lookups += 1;
-        }
-
         IdMapOutput {
             unique,
             locals,

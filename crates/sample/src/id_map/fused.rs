@@ -13,6 +13,11 @@
 //! * [`FusedIdMap::map`] — a deterministic sequential replay producing the
 //!   exact probe counts the simulator charges (insertion order is the input
 //!   order, so local IDs follow first occurrence; conflicts cannot occur).
+//!   The host runs both kernels as one insertion pass (`map_once`) that
+//!   emits the locals as it goes; the table never deletes, so the
+//!   transform kernel's walk from an ID's hash slot is exactly as long as
+//!   its walk in the insert kernel, and the modelled total is twice the
+//!   insert pass's probes.
 //! * [`FusedIdMap::map_parallel`] — the real lock-free algorithm over
 //!   `AtomicU64` slots executed by true OS threads, demonstrating that the
 //!   fused construction is correct under genuine concurrency. Local-ID
@@ -20,10 +25,10 @@
 //!   mapping is always a valid bijection and the unique ID *set* is
 //!   identical to the sequential one.
 
-use super::{fib_hash, table_capacity_with_factor, IdMap, IdMapOutput, IdMapStats};
+use super::{
+    fib_hash, map_once, table_capacity_with_factor, IdMap, IdMapOutput, IdMapStats, EMPTY,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-const EMPTY: u64 = u64::MAX;
 
 /// The Fused-Map strategy (paper Algorithm 2). See the module docs.
 ///
@@ -202,45 +207,19 @@ impl IdMap for FusedIdMap {
     /// probe counts, and first-occurrence local numbering on every run.
     fn map(&self, ids: &[u64]) -> IdMapOutput {
         let capacity = table_capacity_with_factor(ids.len(), self.capacity_factor);
-        let bits = capacity.trailing_zeros();
-        let mask = capacity - 1;
-        let mut keys = vec![EMPTY; capacity];
-        let mut values = vec![0u64; capacity];
-        let mut unique = Vec::new();
-        let mut stats = IdMapStats {
+        let (unique, locals, probes) = map_once(ids, capacity);
+        let stats = IdMapStats {
             total_ids: ids.len() as u64,
+            unique_ids: unique.len() as u64,
+            // The fused insert kernel and the transform kernel each walk
+            // every ID to its slot.
+            probes: 2 * probes,
+            cas_conflicts: 0,
             kernel_launches: 2,
             device_syncs: 1,
-            ..Default::default()
+            sync_serializations: 0,
+            lookups: ids.len() as u64,
         };
-        for &id in ids {
-            debug_assert_ne!(id, EMPTY, "EMPTY sentinel is reserved");
-            let mut slot = fib_hash(id, bits);
-            loop {
-                if keys[slot] == EMPTY {
-                    keys[slot] = id;
-                    values[slot] = unique.len() as u64 + 1;
-                    unique.push(id);
-                    break;
-                }
-                if keys[slot] == id {
-                    break;
-                }
-                slot = (slot + 1) & mask;
-                stats.probes += 1;
-            }
-        }
-        stats.unique_ids = unique.len() as u64;
-        let mut locals = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & mask;
-                stats.probes += 1;
-            }
-            locals.push(values[slot] - 1);
-            stats.lookups += 1;
-        }
         IdMapOutput {
             unique,
             locals,

@@ -16,6 +16,11 @@
 //!   parallel variant with real atomics validates lock-freedom; a
 //!   sequential replay provides deterministic event counts for the
 //!   simulator.
+//!
+//! Both sequential maps run on the host as one pass, `map_once`, and
+//! charge the probes of every modelled kernel from its probe count: the
+//! table never deletes, so each later kernel's walk for an ID from its
+//! hash slot is exactly as long as that ID's walk in the insert pass.
 
 pub mod baseline;
 pub mod fused;
@@ -120,15 +125,242 @@ pub(crate) fn table_capacity_with_factor(n: usize, factor: f64) -> usize {
         .next_power_of_two()
 }
 
+/// Multiplier of [`fib_hash`]: 2^64 divided by the golden ratio.
+const FIB_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Fibonacci multiplicative hash into a table of `1 << bits` slots.
 #[inline]
 pub(crate) fn fib_hash(id: u64, bits: u32) -> usize {
-    (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    (id.wrapping_mul(FIB_MULTIPLIER) >> (64 - bits)) as usize
+}
+
+/// Empty-slot marker of the hash tables; never a valid global ID.
+pub(crate) const EMPTY: u64 = u64::MAX;
+
+/// Linear-probing insertion of `ids` into a table of `capacity` slots (a
+/// power of two above the number of distinct IDs), in input order.
+///
+/// Returns the distinct IDs in first-occurrence order, each input's local
+/// ID (emitted as the insert pass finds or claims its slot), and the sum
+/// over all inputs of the probe steps beyond the hash slot. Because no
+/// slot is ever freed, that sum is also what one more walk of the whole
+/// stream through the finished table costs.
+pub(crate) fn map_once(ids: &[u64], capacity: usize) -> (Vec<u64>, Vec<u64>, u64) {
+    let bits = capacity.trailing_zeros();
+    let mask = capacity - 1;
+    // (key, local) per slot: a probe touches one cache line, not two.
+    let mut table = vec![(EMPTY, 0u64); capacity];
+    let mut unique = Vec::new();
+    let mut locals = Vec::with_capacity(ids.len());
+    let mut probes = 0u64;
+    for &id in ids {
+        debug_assert_ne!(id, EMPTY, "EMPTY sentinel is reserved");
+        let mut slot = fib_hash(id, bits);
+        loop {
+            let (key, local) = table[slot];
+            if key == id {
+                locals.push(local);
+                break;
+            }
+            if key == EMPTY {
+                let local = unique.len() as u64;
+                table[slot] = (id, local);
+                unique.push(id);
+                locals.push(local);
+                break;
+            }
+            slot = (slot + 1) & mask;
+            probes += 1;
+        }
+    }
+    (unique, locals, probes)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::baseline::BaselineIdMap;
+    use super::fused::FusedIdMap;
     use super::*;
+    use proptest::prelude::*;
+
+    /// The literal three-kernel baseline map (insert, assign, transform,
+    /// each walking the table), kept as the reference for
+    /// [`BaselineIdMap::map`].
+    fn reference_three_pass(ids: &[u64]) -> IdMapOutput {
+        let capacity = table_capacity(ids.len());
+        let bits = capacity.trailing_zeros();
+        let mut keys = vec![EMPTY; capacity];
+        let mut values = vec![0u64; capacity];
+        let mut stats = IdMapStats {
+            total_ids: ids.len() as u64,
+            kernel_launches: 3,
+            device_syncs: 2,
+            ..Default::default()
+        };
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            loop {
+                if keys[slot] == EMPTY {
+                    keys[slot] = id;
+                    break;
+                }
+                if keys[slot] == id {
+                    break;
+                }
+                slot = (slot + 1) & (capacity - 1);
+                stats.probes += 1;
+            }
+        }
+        let mut unique = Vec::new();
+        let mut seen = vec![false; capacity];
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            while keys[slot] != id {
+                slot = (slot + 1) & (capacity - 1);
+                stats.probes += 1;
+            }
+            if !seen[slot] {
+                seen[slot] = true;
+                values[slot] = unique.len() as u64;
+                unique.push(id);
+                stats.sync_serializations += 1;
+            }
+        }
+        stats.unique_ids = unique.len() as u64;
+        let mut locals = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            while keys[slot] != id {
+                slot = (slot + 1) & (capacity - 1);
+                stats.probes += 1;
+            }
+            locals.push(values[slot]);
+            stats.lookups += 1;
+        }
+        IdMapOutput {
+            unique,
+            locals,
+            stats,
+        }
+    }
+
+    /// The literal two-kernel Fused-Map replay (fused insert, then a
+    /// transform walk), kept as the reference for [`FusedIdMap::map`].
+    fn reference_two_pass(ids: &[u64], capacity_factor: f64) -> IdMapOutput {
+        let capacity = table_capacity_with_factor(ids.len(), capacity_factor);
+        let bits = capacity.trailing_zeros();
+        let mask = capacity - 1;
+        let mut keys = vec![EMPTY; capacity];
+        let mut values = vec![0u64; capacity];
+        let mut unique = Vec::new();
+        let mut stats = IdMapStats {
+            total_ids: ids.len() as u64,
+            kernel_launches: 2,
+            device_syncs: 1,
+            ..Default::default()
+        };
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            loop {
+                if keys[slot] == EMPTY {
+                    keys[slot] = id;
+                    values[slot] = unique.len() as u64 + 1;
+                    unique.push(id);
+                    break;
+                }
+                if keys[slot] == id {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+                stats.probes += 1;
+            }
+        }
+        stats.unique_ids = unique.len() as u64;
+        let mut locals = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            while keys[slot] != id {
+                slot = (slot + 1) & mask;
+                stats.probes += 1;
+            }
+            locals.push(values[slot] - 1);
+            stats.lookups += 1;
+        }
+        IdMapOutput {
+            unique,
+            locals,
+            stats,
+        }
+    }
+
+    /// Checks both maps against their references on one stream.
+    fn assert_maps_match_references(ids: &[u64], capacity_factor: f64) {
+        assert_eq!(BaselineIdMap::new().map(ids), reference_three_pass(ids));
+        assert_eq!(
+            FusedIdMap::with_capacity_factor(capacity_factor).map(ids),
+            reference_two_pass(ids, capacity_factor),
+            "capacity factor {capacity_factor}"
+        );
+    }
+
+    /// The `i`-th of the IDs whose hash product has its top 32 bits set,
+    /// so they land in the last slot of every table up to 2^32 slots.
+    fn last_slot_id(i: u64) -> u64 {
+        // Inverse of the odd multiplier mod 2^64 by Newton's iteration
+        // (each step doubles the correct low bits, starting from 3).
+        let mut inverse = FIB_MULTIPLIER;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(FIB_MULTIPLIER.wrapping_mul(inverse)));
+        }
+        (u64::MAX - i).wrapping_mul(inverse)
+    }
+
+    proptest! {
+        /// Streams from all-distinct to heavily duplicated, over table
+        /// headroom from 1.05 to 4.0, with up to eight IDs spliced in that
+        /// hash to the last slot, so that chains wrap past the table end:
+        /// both one-pass maps give the reference `unique`, `locals` and
+        /// every `IdMapStats` field.
+        #[test]
+        fn one_pass_maps_match_multi_pass_references(
+            stream in prop::collection::vec(0u64..u64::MAX, 0..3000),
+            dup_shift in 0u32..12,
+            factor_hundredths in 105u64..401,
+            last_slot_ids in 0usize..9,
+        ) {
+            // Shifting the pool size down by `dup_shift` raises the number
+            // of repeats of each ID; the multiply keeps IDs spread over
+            // the whole hash range.
+            let pool = (stream.len() as u64 >> dup_shift).max(1);
+            let mut ids: Vec<u64> = stream
+                .iter()
+                .map(|&x| match dup_shift {
+                    0 => x,
+                    _ => (x % pool).wrapping_mul(0x2545_F491_4F6C_DD1D) % EMPTY,
+                })
+                .collect();
+            for (k, &x) in stream.iter().enumerate().take(last_slot_ids) {
+                let at = (x % ids.len() as u64) as usize;
+                ids[at] = last_slot_id(k as u64);
+            }
+            assert_maps_match_references(&ids, factor_hundredths as f64 / 100.0);
+        }
+    }
+
+    #[test]
+    fn probe_chains_wrapping_the_table_end_match_references() {
+        // Every chain after the first wraps to slot 0 and on, in the
+        // baseline's table and in the Fused-Map table at each factor.
+        for (len, factor) in [(3usize, 2.0), (6, 1.05), (5, 4.0)] {
+            let ids: Vec<u64> = (0..len).map(|i| last_slot_id(i as u64 % 3)).collect();
+            for capacity in [table_capacity(len), table_capacity_with_factor(len, factor)] {
+                assert_eq!(fib_hash(ids[0], capacity.trailing_zeros()), capacity - 1);
+                let (_, _, probes) = map_once(&ids, capacity);
+                assert!(probes > 0, "stream {ids:?} must probe past the table end");
+            }
+            assert_maps_match_references(&ids, factor);
+        }
+    }
 
     #[test]
     fn capacity_is_power_of_two_and_roomy() {

@@ -107,42 +107,62 @@ impl NeighborSampler {
             // mini-batches still see different streams because the parent
             // RNG advances once per hop.
             let hop_rng = DeterministicRng::seed(rng.next().wrapping_add(hop as u64));
-            let per_node: Vec<(Vec<u64>, u64)> = fastgl_tensor::parallel::par_map_collect(
-                &frontier,
-                fastgl_tensor::parallel::SAMPLE_GRAIN_SEEDS,
-                |f_idx, &g| {
-                    let node = NodeId(g);
-                    assert!(g < graph.num_nodes(), "seed/frontier node {g} out of range");
-                    let neighbors = graph.neighbors(node);
-                    let deg = neighbors.len();
-                    let take = deg.min(fanout);
-                    let sampled = if deg <= fanout {
-                        neighbors.to_vec()
-                    } else {
-                        let mut node_rng = hop_rng.derive(f_idx as u64);
-                        node_rng
-                            .sample_distinct(deg as u64, take)
-                            .into_iter()
-                            .map(|idx| neighbors[idx as usize])
-                            .collect()
-                    };
-                    (sampled, take as u64)
-                },
-            );
-            let mut sampled_flat: Vec<u64> = Vec::with_capacity(num_dst * fanout);
-            let mut counts: Vec<u64> = Vec::with_capacity(num_dst);
-            for (sampled, take) in per_node {
-                sampled_flat.extend_from_slice(&sampled);
-                counts.push(take);
-                stats.edges_sampled += take;
-            }
+            // The draws fill `stream = [frontier ‖ sampled]`, the ID map's
+            // input: the unique list's prefix is the frontier itself (it is
+            // already deduplicated).
+            let (stream, counts) = {
+                let _span = fastgl_telemetry::span("sample.draw").with_u64("hop", hop as u64);
+                // Each chunk of frontier positions fills one flat buffer of
+                // sampled global IDs and one of per-node counts.
+                let chunks = fastgl_tensor::parallel::par_chunk_results(
+                    num_dst,
+                    fastgl_tensor::parallel::SAMPLE_GRAIN_SEEDS,
+                    |range| {
+                        let mut sampled = Vec::with_capacity(range.len() * fanout);
+                        let mut counts = Vec::with_capacity(range.len());
+                        for f_idx in range {
+                            let g = frontier[f_idx];
+                            assert!(g < graph.num_nodes(), "seed/frontier node {g} out of range");
+                            let neighbors = graph.neighbors(NodeId(g));
+                            if neighbors.len() <= fanout {
+                                sampled.extend_from_slice(neighbors);
+                                counts.push(neighbors.len() as u64);
+                            } else {
+                                // Draw neighbour indices in place, then
+                                // replace them with the neighbours' IDs.
+                                let start = sampled.len();
+                                hop_rng.derive(f_idx as u64).sample_distinct_into(
+                                    neighbors.len() as u64,
+                                    fanout,
+                                    &mut sampled,
+                                );
+                                for v in &mut sampled[start..] {
+                                    *v = neighbors[*v as usize];
+                                }
+                                counts.push(fanout as u64);
+                            }
+                        }
+                        (sampled, counts)
+                    },
+                );
+                let drawn: usize = chunks.iter().map(|(sampled, _)| sampled.len()).sum();
+                let mut stream = Vec::with_capacity(num_dst + drawn);
+                stream.extend_from_slice(&frontier);
+                let mut counts = Vec::with_capacity(num_dst);
+                for (sampled, chunk_counts) in &chunks {
+                    stream.extend_from_slice(sampled);
+                    counts.extend_from_slice(chunk_counts);
+                }
+                (stream, counts)
+            };
+            let drawn = stream.len() - num_dst;
+            stats.edges_sampled += drawn as u64;
 
-            // ID map over [frontier ‖ sampled]: the unique list's prefix is
-            // the frontier itself (it is already deduplicated).
-            let mut stream = Vec::with_capacity(frontier.len() + sampled_flat.len());
-            stream.extend_from_slice(&frontier);
-            stream.extend_from_slice(&sampled_flat);
-            let out = id_map.map(&stream);
+            let out = {
+                let _span =
+                    fastgl_telemetry::span("sample.id_map").with_u64("ids", stream.len() as u64);
+                id_map.map(&stream)
+            };
             stats.id_map.merge(&out.stats);
             debug_assert_eq!(&out.unique[..num_dst], &frontier[..]);
 
@@ -150,8 +170,7 @@ impl NeighborSampler {
             let sampled_locals = &out.locals[num_dst..];
             let self_loop = self.add_self_loops;
             let mut src_offsets = Vec::with_capacity(num_dst + 1);
-            let mut src_locals =
-                Vec::with_capacity(sampled_flat.len() + if self_loop { num_dst } else { 0 });
+            let mut src_locals = Vec::with_capacity(drawn + if self_loop { num_dst } else { 0 });
             src_offsets.push(0u64);
             let mut cursor = 0usize;
             for (i, &count) in counts.iter().enumerate() {
