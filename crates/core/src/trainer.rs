@@ -274,16 +274,20 @@ pub fn train_resumable(
                 .iter()
                 .enumerate()
                 .map(|(i, seeds)| {
+                    let _span = fastgl_telemetry::span("trainer.sample");
                     let mut rng = batch_rng(config.seed, epoch, (start + i) as u64);
                     sampler.sample(graph, seeds, &id_map, &mut rng).0
                 })
                 .collect();
-            let order: Vec<usize> = if config.reorder && subgraphs.len() > 1 {
-                let sets: Vec<&[NodeId]> =
-                    subgraphs.iter().map(|s| s.sorted_global_ids()).collect();
-                greedy_reorder(&match_degree_matrix(&sets))
-            } else {
-                (0..subgraphs.len()).collect()
+            let order: Vec<usize> = {
+                let _span = fastgl_telemetry::span("trainer.reorder");
+                if config.reorder && subgraphs.len() > 1 {
+                    let sets: Vec<&[NodeId]> =
+                        subgraphs.iter().map(|s| s.sorted_global_ids()).collect();
+                    greedy_reorder(&match_degree_matrix(&sets))
+                } else {
+                    (0..subgraphs.len()).collect()
+                }
             };
 
             // Skip the window entries an interrupted run already executed.
@@ -308,7 +312,10 @@ pub fn train_resumable(
                 let _iter_span =
                     fastgl_telemetry::span("trainer.iteration").with_u64("nodes", sg.num_nodes());
                 fastgl_telemetry::observe("trainer.batch_nodes", sg.num_nodes());
-                let x = gather(sg);
+                let x = {
+                    let _span = fastgl_telemetry::span("trainer.gather");
+                    gather(sg)
+                };
                 let batch_labels: Vec<u32> = sg
                     .seed_locals
                     .iter()
@@ -323,6 +330,9 @@ pub fn train_resumable(
                 {
                     let _bwd = fastgl_telemetry::span("trainer.backward");
                     model.backward(sg, &out.grad);
+                }
+                {
+                    let _optim = fastgl_telemetry::span("trainer.optim");
                     model.apply_grads(&mut opt);
                 }
                 iteration_losses.push(out.loss);

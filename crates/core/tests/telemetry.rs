@@ -4,8 +4,10 @@
 //! accounting, and disabling telemetry must change nothing about results.
 
 use fastgl_core::system::TrainingSystem;
+use fastgl_core::trainer::{train, TrainerConfig};
 use fastgl_core::{EpochStats, FastGl, FastGlConfig};
-use fastgl_graph::{Dataset, DatasetBundle};
+use fastgl_graph::generate::community::{self, CommunityConfig};
+use fastgl_graph::{Dataset, DatasetBundle, NodeId};
 use std::sync::Mutex;
 
 /// Serializes tests: telemetry state and the thread override are global.
@@ -120,6 +122,52 @@ fn pipeline_counters_cross_check_epoch_stats() {
     let trace = fastgl_telemetry::export::chrome_trace(&snap);
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("pipeline.epoch"));
+}
+
+#[test]
+fn trainer_spans_cover_every_stage_of_an_iteration() {
+    let _guard = lock();
+    let d = community::generate(
+        &CommunityConfig {
+            num_nodes: 600,
+            num_classes: 3,
+            intra_degree: 8.0,
+            inter_degree: 1.0,
+            feature_dim: 12,
+            feature_noise: 0.8,
+        },
+        3,
+    );
+    let train_nodes: Vec<NodeId> = (0..500).map(NodeId).collect();
+    let cfg = TrainerConfig {
+        fanouts: vec![4, 4],
+        batch_size: 96,
+        epochs: 2,
+        reorder: true,
+        window: 4,
+        ..Default::default()
+    };
+    fastgl_telemetry::set_enabled(true);
+    fastgl_telemetry::reset();
+    let run = train(&d.graph, &d.features, &d.labels, &train_nodes, &cfg);
+    let snap = fastgl_telemetry::drain();
+    fastgl_telemetry::set_enabled(false);
+    // 500 nodes in batches of 96 is 6 batches per epoch, so 12 in all,
+    // in two windows of 4 batches or fewer per epoch.
+    assert_eq!(run.iteration_losses.len(), 12);
+    let spans = snap.span_totals();
+    for name in [
+        "trainer.iteration",
+        "trainer.sample",
+        "trainer.gather",
+        "trainer.forward",
+        "trainer.backward",
+        "trainer.optim",
+    ] {
+        assert_eq!(spans[name].count, 12, "{name}");
+    }
+    assert_eq!(spans["trainer.reorder"].count, 4);
+    assert_eq!(spans["trainer.epoch"].count, 2);
 }
 
 #[test]

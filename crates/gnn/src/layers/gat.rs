@@ -22,7 +22,8 @@ pub struct GatLayer {
     heads: usize,
     head_dim: usize,
     activation: bool,
-    // Caches.
+    // Caches. The input stays: the weight gradient is `Xᵀ·dZ`. The output
+    // pre-activation is kept only when a ReLU follows.
     input: Option<Matrix>,
     z: Option<Matrix>,
     alphas: Vec<f32>,
@@ -132,20 +133,21 @@ impl GnnLayer for GatLayer {
         self.z = Some(z);
         self.alphas = alphas;
         self.e_pre = e_pre;
-        self.out_pre = Some(out.clone());
         if self.activation {
-            relu(&out)
+            let activated = relu(&out);
+            self.out_pre = Some(out);
+            activated
         } else {
             out
         }
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let input = self.input.as_ref().expect("forward before backward");
         let z = self.z.as_ref().expect("forward before backward");
-        let out_pre = self.out_pre.as_ref().expect("forward before backward");
         let f = self.head_dim;
         let g = if self.activation {
+            let out_pre = self.out_pre.as_ref().expect("forward before backward");
             relu_backward(out_pre, grad_out)
         } else {
             grad_out.clone()
@@ -211,7 +213,7 @@ impl GnnLayer for GatLayer {
         }
 
         self.grad_weight += &input.matmul_transpose_a(&d_z);
-        d_z.matmul_transpose_b(&self.weight)
+        input_grad.then(|| d_z.matmul_transpose_b(&self.weight))
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -316,7 +318,7 @@ mod tests {
         let upstream = input(2, 4, 8);
         let mut l = layer(2, 2, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, false);
         let analytic = l.grad_attn_l.clone();
         let eps = 1e-2;
         for i in 0..analytic.as_slice().len() {
@@ -346,7 +348,7 @@ mod tests {
         let upstream = input(2, 4, 10);
         let mut l = layer(2, 2, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, false);
         let mut opt = Sgd::new(0.05);
         assert_eq!(l.apply_grads(&mut opt, 0), 3);
         assert_eq!(l.grad_weight.norm(), 0.0);

@@ -21,8 +21,9 @@ pub struct GinLayer {
     b2: Matrix,
     epsilon: f32,
     activation: bool,
-    // Caches.
-    input: Option<Matrix>,
+    // Caches: backward needs only the input's row count, and the output
+    // pre-activation only when a ReLU follows.
+    input_rows: usize,
     agg: Option<Matrix>,
     hidden_pre: Option<Matrix>,
     out_pre: Option<Matrix>,
@@ -51,7 +52,7 @@ impl GinLayer {
             b2: zeros_bias(d_out),
             epsilon,
             activation,
-            input: None,
+            input_rows: 0,
             agg: None,
             hidden_pre: None,
             out_pre: None,
@@ -80,24 +81,24 @@ impl GnnLayer for GinLayer {
         let r = relu(&h1);
         let mut out = r.matmul(&self.w2);
         add_bias(&mut out, &self.b2);
-        self.input = Some(input.clone());
+        self.input_rows = input.rows();
         self.agg = Some(agg);
         self.hidden_pre = Some(h1);
-        self.out_pre = Some(out.clone());
         if self.activation {
-            relu(&out)
+            let activated = relu(&out);
+            self.out_pre = Some(out);
+            activated
         } else {
             out
         }
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
-        let input = self.input.as_ref().expect("forward before backward");
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let agg = self.agg.as_ref().expect("forward before backward");
         let h1 = self.hidden_pre.as_ref().expect("forward before backward");
-        let out_pre = self.out_pre.as_ref().expect("forward before backward");
 
         let g_out = if self.activation {
+            let out_pre = self.out_pre.as_ref().expect("forward before backward");
             relu_backward(out_pre, grad_out)
         } else {
             grad_out.clone()
@@ -109,9 +110,12 @@ impl GnnLayer for GinLayer {
         let d_h1 = relu_backward(h1, &d_r);
         self.grad_w1 += &agg.matmul_transpose_a(&d_h1);
         self.grad_b1 += &column_sums(&d_h1);
+        if !input_grad {
+            return None;
+        }
         let d_agg = d_h1.matmul_transpose_b(&self.w1);
 
-        let mut d_input = sum_aggregate_backward(block, &d_agg, input.rows());
+        let mut d_input = sum_aggregate_backward(block, &d_agg, self.input_rows);
         if self.epsilon != 0.0 {
             for (i, &dst) in block.dst_locals.iter().enumerate() {
                 let g_row: Vec<f32> = d_agg.row(i).to_vec();
@@ -121,7 +125,7 @@ impl GnnLayer for GinLayer {
                 }
             }
         }
-        d_input
+        Some(d_input)
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -224,7 +228,7 @@ mod tests {
         let upstream = input(2, 2, 8);
         let mut l = layer(0.0, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, false);
         let mut opt = Sgd::new(0.01);
         assert_eq!(l.apply_grads(&mut opt, 0), 4);
         assert_eq!(l.grad_w1.norm(), 0.0);

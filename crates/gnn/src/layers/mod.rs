@@ -11,18 +11,21 @@ use fastgl_tensor::{Matrix, Optimizer};
 /// A GNN layer operating on one subgraph block.
 ///
 /// `forward` caches whatever `backward` needs; `backward` accumulates
-/// parameter gradients internally and returns the gradient with respect to
-/// the layer input; `apply_grads` consumes the accumulated gradients via an
-/// optimiser and returns how many optimiser slots the layer used (so a
-/// model can hand each layer a disjoint slot range).
+/// parameter gradients internally and, when asked, returns the gradient
+/// with respect to the layer input; `apply_grads` consumes the accumulated
+/// gradients via an optimiser and returns how many optimiser slots the
+/// layer used (so a model can hand each layer a disjoint slot range).
 pub trait GnnLayer {
     /// Computes the layer output over the block's destination nodes from
     /// `input`, whose rows cover the block's source ID space.
     fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix;
 
-    /// Backpropagates `grad_out` (rows = destinations), returning the
-    /// gradient with respect to `input` and accumulating parameter grads.
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix;
+    /// Backpropagates `grad_out` (rows = destinations), accumulating
+    /// parameter grads. Returns the gradient with respect to `input` when
+    /// `input_grad` is set and `None` otherwise; the parameter gradients
+    /// are the same either way, so a caller whose input is not trainable
+    /// (the first layer's raw features) skips that work.
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix>;
 
     /// Applies and clears accumulated parameter gradients.
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize;
@@ -108,7 +111,12 @@ pub(crate) mod test_util {
     ) {
         let mut layer = make_layer();
         layer.forward(block, input);
-        let grad = layer.backward(block, upstream);
+        let grad = layer
+            .backward(block, upstream, true)
+            .expect("input_grad = true returns the input gradient");
+        let mut skipped = make_layer();
+        skipped.forward(block, input);
+        assert!(skipped.backward(block, upstream, false).is_none());
         let loss = |m: &Matrix| -> f32 {
             let mut l = make_layer();
             let out = l.forward(block, m);

@@ -270,8 +270,10 @@ impl GnnModel {
             subgraph.num_nodes(),
             "feature rows must cover the subgraph"
         );
-        let mut h = features.clone();
-        for (layer, block) in self.layers.iter_mut().zip(&subgraph.blocks) {
+        let mut stack = self.layers.iter_mut().zip(&subgraph.blocks);
+        let (first, block) = stack.next().expect("a model has at least one layer");
+        let mut h = first.forward(block, features);
+        for (layer, block) in stack {
             h = layer.forward(block, &h);
         }
         h
@@ -279,10 +281,19 @@ impl GnnModel {
 
     /// Backward pass from the loss gradient over seed logits; accumulates
     /// parameter gradients in every layer.
+    ///
+    /// The first layer's input is the raw feature matrix, which has no
+    /// parameters, so that layer is asked for its parameter gradients only.
     pub fn backward(&mut self, subgraph: &SampledSubgraph, grad_logits: &Matrix) {
-        let mut g = grad_logits.clone();
-        for (layer, block) in self.layers.iter_mut().zip(&subgraph.blocks).rev() {
-            g = layer.backward(block, &g);
+        let mut g: Option<Matrix> = None;
+        for (l, (layer, block)) in self
+            .layers
+            .iter_mut()
+            .zip(&subgraph.blocks)
+            .enumerate()
+            .rev()
+        {
+            g = layer.backward(block, g.as_ref().unwrap_or(grad_logits), l > 0);
         }
     }
 
@@ -432,6 +443,90 @@ mod tests {
                 "{kind}: loss did not drop ({first} -> {last})"
             );
         }
+    }
+
+    /// Reference for [`GnnModel::train_step`] in which every layer, the
+    /// first included, computes its input gradient (layer 0's is dropped).
+    fn train_step_with_every_input_grad(
+        model: &mut GnnModel,
+        sg: &SampledSubgraph,
+        x: &Matrix,
+        labels: &[u32],
+        opt: &mut dyn Optimizer,
+    ) -> f32 {
+        let logits = model.forward(sg, x);
+        let LossOutput { loss, mut grad } = softmax_cross_entropy(&logits, labels);
+        for (layer, block) in model.layers.iter_mut().zip(&sg.blocks).rev() {
+            grad = layer
+                .backward(block, &grad, true)
+                .expect("input_grad = true returns the input gradient");
+        }
+        model.apply_grads(opt);
+        loss
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_is_bit_exact() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let g = rmat::generate(&RmatConfig::social(2_000, 16_000), 13);
+        let mut per_thread_states = Vec::new();
+        for threads in [1, 2] {
+            fastgl_tensor::parallel::set_num_threads(threads);
+            let mut states = Vec::new();
+            for kind in [
+                ModelKind::Gcn,
+                ModelKind::Sage,
+                ModelKind::Gin,
+                ModelKind::Gat,
+            ] {
+                for layers in [2, 3] {
+                    let cfg = ModelConfig {
+                        kind,
+                        input_dim: 24,
+                        hidden_dim: 16,
+                        num_classes: 5,
+                        num_layers: layers,
+                        heads: 4,
+                    };
+                    let mut fast = GnnModel::new(&cfg, &mut DeterministicRng::seed(31));
+                    let mut reference = GnnModel::new(&cfg, &mut DeterministicRng::seed(31));
+                    let seeds: Vec<NodeId> = (0..64).map(|i| NodeId(i * 31 % 2_000)).collect();
+                    let (sg, _) = NeighborSampler::new(vec![5; layers]).sample(
+                        &g,
+                        &seeds,
+                        &FusedIdMap::new(),
+                        &mut DeterministicRng::seed(14),
+                    );
+                    let x = features(&sg, 24);
+                    let labels: Vec<u32> = (0..64).map(|i| (i % 5) as u32).collect();
+                    let (mut opt_fast, mut opt_ref) = (Adam::new(0.01), Adam::new(0.01));
+                    for step in 0..3 {
+                        opt_fast.next_iteration();
+                        opt_ref.next_iteration();
+                        let loss = fast.train_step(&sg, &x, &labels, &mut opt_fast);
+                        let expected = train_step_with_every_input_grad(
+                            &mut reference,
+                            &sg,
+                            &x,
+                            &labels,
+                            &mut opt_ref,
+                        );
+                        let what =
+                            format!("{kind} × {layers} layers, step {step}, {threads} threads");
+                        assert_eq!(loss.to_bits(), expected.to_bits(), "loss: {what}");
+                        assert_eq!(
+                            bits(&fast.state()),
+                            bits(&reference.state()),
+                            "state: {what}"
+                        );
+                    }
+                    states.push(bits(&fast.state()));
+                }
+            }
+            per_thread_states.push(states);
+        }
+        fastgl_tensor::parallel::set_num_threads(0);
+        assert_eq!(per_thread_states[0], per_thread_states[1], "1 vs 2 threads");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Activations and row-wise softmax utilities.
 
 use crate::matrix::Matrix;
+use crate::parallel;
 
 /// ReLU, elementwise.
 pub fn relu(x: &Matrix) -> Matrix {
@@ -18,8 +19,7 @@ pub fn relu_backward(input: &Matrix, grad: &Matrix) -> Matrix {
         (grad.rows(), grad.cols()),
         "relu_backward shape mismatch"
     );
-    let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-    mask.hadamard(grad)
+    masked_grad(input, grad, 0.0)
 }
 
 /// Leaky ReLU with slope `alpha` for negative inputs (GAT uses 0.2).
@@ -38,8 +38,29 @@ pub fn leaky_relu_backward(input: &Matrix, grad: &Matrix, alpha: f32) -> Matrix 
         (grad.rows(), grad.cols()),
         "leaky_relu_backward shape mismatch"
     );
-    let mask = input.map(|v| if v > 0.0 { 1.0 } else { alpha });
-    mask.hadamard(grad)
+    masked_grad(input, grad, alpha)
+}
+
+/// `mask(x) * g` elementwise in one pass, where `mask(x)` is `1` for a
+/// positive forward input and `negative` otherwise. The product is kept
+/// (rather than a select) so signed zeros and NaN propagate exactly as
+/// multiplying by a materialised mask would.
+fn masked_grad(input: &Matrix, grad: &Matrix, negative: f32) -> Matrix {
+    let (x, g) = (input.as_slice(), grad.as_slice());
+    let mut out = Matrix::zeros(input.rows(), input.cols());
+    parallel::par_row_chunks_mut(
+        out.as_mut_slice(),
+        1,
+        parallel::ELEMWISE_GRAIN,
+        |first, chunk| {
+            let end = first + chunk.len();
+            for ((o, &x), &g) in chunk.iter_mut().zip(&x[first..end]).zip(&g[first..end]) {
+                let mask = if x > 0.0 { 1.0 } else { negative };
+                *o = mask * g;
+            }
+        },
+    );
+    out
 }
 
 /// Numerically-stable row-wise softmax.
@@ -106,6 +127,62 @@ mod tests {
         let x = Matrix::from_vec(1, 3, vec![-1.0, 2.0, 0.0]);
         let g = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
         assert_eq!(relu_backward(&x, &g).as_slice(), &[0.0, 5.0, 0.0]);
+    }
+
+    /// The one-pass backward must reproduce the old two-pass formula (a
+    /// materialised mask, then a Hadamard product) bit for bit, including
+    /// signed zeros, infinities and NaN in either operand. The operands are
+    /// tiled past the elementwise grain so the parallel split runs too.
+    #[test]
+    fn one_pass_activation_backward_matches_two_pass_bits() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        let pairs: Vec<(f32, f32)> = specials
+            .iter()
+            .flat_map(|&x| specials.iter().map(move |&g| (x, g)))
+            .collect();
+        let n = 3 * parallel::ELEMWISE_GRAIN + 7;
+        let cols = pairs.len();
+        let rows = n.div_ceil(cols);
+        let x = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| pairs[i % cols].0).collect(),
+        );
+        let g = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| pairs[i % cols].1).collect(),
+        );
+        let bits = |m: &Matrix| {
+            m.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        for negative in [0.0, 0.2, -0.0] {
+            let two_pass = x.map(|v| if v > 0.0 { 1.0 } else { negative }).hadamard(&g);
+            let one_pass = if negative == 0.0 && negative.is_sign_positive() {
+                relu_backward(&x, &g)
+            } else {
+                leaky_relu_backward(&x, &g, negative)
+            };
+            assert_eq!(
+                bits(&one_pass),
+                bits(&two_pass),
+                "negative slope {negative}"
+            );
+        }
     }
 
     #[test]
