@@ -1,21 +1,37 @@
-//! Runs every experiment of the paper's evaluation section in order,
+//! Runs the experiments of the paper's evaluation section in order,
 //! printing each report and writing all CSVs/JSON to `results/` (plus
 //! per-experiment telemetry under `results/telemetry/` when
 //! `FASTGL_TELEMETRY=1`).
 //!
 //! Set `FASTGL_QUICK=1` for a fast smoke pass, or pass experiment ids as
-//! arguments to run a subset (e.g. `all_experiments fig09_overall`).
+//! arguments to run a subset (e.g. `all_experiments fig09_overall`). An
+//! unknown id runs nothing: the valid ids go to stderr and the exit code
+//! is 2.
 
 use std::time::Instant;
 
 fn main() {
-    let scale = fastgl_bench::BenchScale::from_env();
+    let experiments = fastgl_bench::experiments::all();
     let filter: Vec<String> = std::env::args().skip(1).collect();
+    let unknown: Vec<&str> = filter
+        .iter()
+        .map(String::as_str)
+        .filter(|f| !experiments.iter().any(|(id, _)| id == f))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s): {}", unknown.join(", "));
+        eprintln!("valid ids:");
+        for (id, _) in &experiments {
+            eprintln!("  {id}");
+        }
+        std::process::exit(2);
+    }
+    let scale = fastgl_bench::BenchScale::from_env();
     let started = Instant::now();
     // Drop anything recorded before the first experiment (dataset setup,
     // warmup) so each exported trace holds exactly one experiment's events.
     fastgl_telemetry::reset();
-    for (id, runner) in fastgl_bench::experiments::all() {
+    for (id, runner) in experiments {
         if !filter.is_empty() && !filter.iter().any(|f| f == id) {
             continue;
         }

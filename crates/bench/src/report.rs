@@ -1,32 +1,12 @@
 //! Report rendering: aligned text tables plus CSV and JSON export.
 
+use fastgl_telemetry::export::text_table;
+use fastgl_telemetry::json::escape;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Escapes a string for a JSON document (RFC 8259).
-fn json_esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str_array(items: &[String]) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_esc(s)))
-        .collect();
+    let cells: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", cells.join(","))
 }
 
@@ -69,34 +49,8 @@ impl Table {
 
     /// Renders the table as aligned text.
     pub fn to_text(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "## {}", self.title);
-        let line = |cells: &[String], widths: &[usize]| -> String {
-            let mut s = String::from("| ");
-            for (cell, w) in cells.iter().zip(widths) {
-                let _ = write!(s, "{cell:<w$} | ");
-            }
-            s.trim_end().to_string()
-        };
-        out.push_str(&line(&self.headers, &widths));
-        out.push('\n');
-        let mut sep = String::from("|");
-        for w in &widths {
-            let _ = write!(sep, "{}|", "-".repeat(w + 2));
-        }
-        out.push_str(&sep);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&line(row, &widths));
-            out.push('\n');
-        }
-        out
+        let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
+        text_table(&self.title, &headers, &self.rows)
     }
 
     /// Renders the table as a JSON object
@@ -105,7 +59,7 @@ impl Table {
         let rows: Vec<String> = self.rows.iter().map(|r| json_str_array(r)).collect();
         format!(
             "{{\"title\":\"{}\",\"headers\":{},\"rows\":[{}]}}",
-            json_esc(&self.title),
+            escape(&self.title),
             json_str_array(&self.headers),
             rows.join(",")
         )
@@ -182,12 +136,12 @@ impl Provenance {
         format!(
             "{{\"profile\":\"{}\",\"threads\":\"{}\",\"prefetch\":\"{}\",\
              \"telemetry\":{},\"git\":{}}}",
-            json_esc(&self.profile),
-            json_esc(&self.threads),
-            json_esc(&self.prefetch),
+            escape(&self.profile),
+            escape(&self.threads),
+            escape(&self.prefetch),
             self.telemetry,
             match &self.git {
-                Some(rev) => format!("\"{}\"", json_esc(rev)),
+                Some(rev) => format!("\"{}\"", escape(rev)),
                 None => "null".to_string(),
             }
         )
@@ -281,8 +235,8 @@ impl Report {
         };
         format!(
             "{{\"id\":\"{}\",\"description\":\"{}\",\"notes\":{},\"tables\":[{}]{}}}\n",
-            json_esc(&self.id),
-            json_esc(&self.description),
+            escape(&self.id),
+            escape(&self.description),
             json_str_array(&self.notes),
             tables.join(","),
             provenance
@@ -398,6 +352,7 @@ mod tests {
         let j = t.to_json();
         assert!(j.contains("quote \\\" and\\nnewline"));
         assert!(j.contains("\"rows\":[[\"x,y\",\"z\\\\w\"]]"));
+        assert!(fastgl_telemetry::json::parse(&j).is_ok());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn greedy_reorder(matrix: &[Vec<f64>]) -> Vec<usize> {
 }
 
 /// The total consecutive match degree of an order — the quantity the
-/// greedy strategy maximises step-by-step (used by tests and benches to
+/// greedy strategy maximises step-by-step (used by tests to
 /// compare orders).
 pub fn consecutive_match_sum(matrix: &[Vec<f64>], order: &[usize]) -> f64 {
     order.windows(2).map(|w| matrix[w[0]][w[1]]).sum()

@@ -24,7 +24,7 @@
 //! profiles is apples-to-oranges — the gate refuses rather than reporting
 //! nonsense regressions.
 
-use crate::json::{self, Value};
+use fastgl_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;

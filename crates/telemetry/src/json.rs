@@ -1,12 +1,39 @@
-//! A minimal recursive-descent JSON parser (RFC 8259 subset).
+//! The workspace's one JSON module: the string escaper every exporter
+//! writes with, and a minimal recursive-descent parser (RFC 8259 subset)
+//! that reads the documents back.
 //!
-//! The workspace builds fully offline, so `perfdiff` cannot pull in a JSON
-//! crate; the report documents it reads are machine-written by
-//! `fastgl-bench` (flat strings, no exotic escapes), which this parser
-//! covers completely. Numbers parse as `f64`; `\uXXXX` escapes decode the
-//! BMP and reject lone surrogates.
+//! The workspace builds fully offline, so nothing can pull in a JSON
+//! crate; the documents read here are machine-written by the exporters
+//! (flat strings, no exotic escapes), which this parser covers
+//! completely. Numbers parse as `f64`; `\uXXXX` escapes decode the BMP
+//! and reject lone surrogates. Nesting deeper than [`MAX_DEPTH`] is an
+//! error rather than a stack overflow.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Escapes a string for a JSON string literal (without the quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,27 +91,34 @@ impl Value {
 /// # Errors
 ///
 /// Returns a human-readable description (with byte offset) of the first
-/// syntax error, or of trailing garbage after the document.
+/// syntax error, of nesting deeper than [`MAX_DEPTH`], or of trailing
+/// garbage after the document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread input; always on a char boundary.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -94,7 +128,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -108,8 +142,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -119,8 +153,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -139,7 +187,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let s = &self.text[start..self.pos];
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number '{s}' at byte {start}: {e}"))
@@ -179,9 +227,10 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar, however many bytes it spans.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty by peek");
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -190,14 +239,12 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".into());
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "non-ascii \\u escape".to_string())?;
+        let s = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or("incomplete \\u escape")?;
         let code = u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape '{s}'"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -290,6 +337,57 @@ mod tests {
     #[test]
     fn rejects_lone_surrogate_escape() {
         assert!(parse(r#""\ud800""#).is_err());
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b"), "a\\\"b");
+        assert_eq!(escape("a\\b"), "a\\\\b");
+        assert_eq!(escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let nasty = "q\"b\\s\n\u{1f}é";
+        assert_eq!(
+            parse(&format!("\"{}\"", escape(nasty))).unwrap().as_str(),
+            Some(nasty)
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).unwrap_err().contains("nesting"));
+        // A million unclosed brackets on a 2 MiB thread (the test-harness
+        // default) would abort the process without the cap.
+        let huge = "[".repeat(1_000_000);
+        let objects = "{\"k\":".repeat(1_000_000);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                assert!(parse(&huge).is_err());
+                assert!(parse(&objects).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character decodes in place, which takes milliseconds here;
+        // re-validating the rest of the document per character would check
+        // about 4e10 bytes.
+        let body = "é".repeat(200_000);
+        let started = std::time::Instant::now();
+        let v = parse(&format!("[\"{body}\"]")).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "string decoding is not linear: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
     }
 
     #[test]

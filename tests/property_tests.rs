@@ -6,8 +6,53 @@ use fastgl::graph::{DeterministicRng, GraphBuilder, NodeId};
 use fastgl::sample::id_map::{baseline::BaselineIdMap, fused::FusedIdMap};
 use fastgl::sample::overlap::{intersection_size, match_degree, match_degree_matrix};
 use fastgl::sample::{IdMap, NeighborSampler};
+use fastgl::telemetry::json;
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::fmt::Write as _;
+
+/// Characters JSON is built from, plus whitespace and one multi-byte
+/// scalar.
+const JSON_ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ',', ':', '\\', 'u', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9',
+    '.', 'e', 'E', '+', '-', 't', 'f', 'n', 'r', 'l', ' ', '\t', '\n', '\r', 'é',
+];
+
+/// Appends a random valid JSON value, nested at most `depth` levels, using
+/// every escape and number form the parser handles.
+fn random_json(rng: &mut DeterministicRng, depth: u32, out: &mut String) {
+    const SCALARS: &[&str] = &[
+        "true", "false", "null", "0", "-12", "3.25", "-1.5e-3", "2E+8",
+    ];
+    const PIECES: &[&str] = &[
+        "a", "é", "\\\"", "\\\\", "\\/", "\\n", "\\t", "\\u00e9", " ",
+    ];
+    let kinds = if depth == 0 { 2 } else { 4 };
+    match rng.below(kinds) {
+        0 => out.push_str(SCALARS[rng.below(SCALARS.len() as u64) as usize]),
+        1 => {
+            out.push('"');
+            for _ in 0..rng.below(4) {
+                out.push_str(PIECES[rng.below(PIECES.len() as u64) as usize]);
+            }
+            out.push('"');
+        }
+        kind => {
+            let (open, close) = if kind == 2 { ('[', ']') } else { ('{', '}') };
+            out.push(open);
+            for i in 0..rng.below(4) {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                if kind == 3 {
+                    let _ = write!(out, "\"k{i}\": ");
+                }
+                random_json(rng, depth - 1, out);
+            }
+            out.push(close);
+        }
+    }
+}
 
 fn sorted_unique(ids: Vec<u64>) -> Vec<NodeId> {
     let mut v: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
@@ -17,6 +62,28 @@ fn sorted_unique(ids: Vec<u64>) -> Vec<NodeId> {
 }
 
 proptest! {
+    /// The workspace's JSON parser answers `Ok` or `Err` for any input and
+    /// never panics: random strings over JSON's alphabet, and every prefix
+    /// and one-character edit of a random valid document (which parses).
+    #[test]
+    fn json_parse_never_panics(
+        picks in prop::collection::vec(0usize..JSON_ALPHABET.len(), 1..300),
+        seed in 0u64..1_000_000,
+    ) {
+        let text: String = picks.iter().map(|&i| JSON_ALPHABET[i]).collect();
+        let _ = json::parse(&text);
+        let mut doc = String::new();
+        random_json(&mut DeterministicRng::seed(seed), 4, &mut doc);
+        prop_assert!(json::parse(&doc).is_ok(), "valid document rejected: {doc}");
+        let chars: Vec<char> = doc.chars().collect();
+        for (cut, pick) in (0..chars.len()).zip(picks.iter().cycle()) {
+            let _ = json::parse(&chars[..cut].iter().collect::<String>());
+            let mut edited = chars.clone();
+            edited[cut] = JSON_ALPHABET[*pick];
+            let _ = json::parse(&edited.iter().collect::<String>());
+        }
+    }
+
     /// Both ID maps produce a bijection onto 0..unique for any multiset.
     #[test]
     fn id_maps_are_bijections(ids in prop::collection::vec(0u64..10_000, 0..2_000)) {
