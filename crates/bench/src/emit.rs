@@ -3,8 +3,7 @@
 //! run's spans/counters into `results/telemetry/` next to the data they
 //! explain.
 
-use crate::report::{Provenance, Report, Table};
-use fastgl_telemetry::Snapshot;
+use crate::report::{Provenance, Report};
 use std::path::PathBuf;
 
 /// Where experiment tables land by default (see [`results_dir`]).
@@ -61,10 +60,7 @@ pub fn export_telemetry(stem: &str) {
     let snap = fastgl_telemetry::drain();
     match fastgl_telemetry::export::write_to_dir(&snap, &telemetry_dir(), stem) {
         Ok((trace, perf)) => {
-            for t in telemetry_tables(&snap) {
-                print!("{}", t.to_text());
-                println!();
-            }
+            print!("{}", fastgl_telemetry::export::summary(&snap));
             println!(
                 "[telemetry: {} events -> {} + {}]\n",
                 snap.events.len(),
@@ -76,91 +72,15 @@ pub fn export_telemetry(stem: &str) {
     }
 }
 
-/// Renders a snapshot as report [`Table`]s (the same aligned-table type
-/// every experiment uses), so telemetry summaries print and export in the
-/// house style.
-pub fn telemetry_tables(snap: &Snapshot) -> Vec<Table> {
-    let mut out = Vec::new();
-
-    let sim = snap.sim_phase_totals();
-    if !sim.is_empty() {
-        let total: u64 = sim.values().sum();
-        let mut t = Table::new("Telemetry: simulated phases", &["phase", "total", "share"]);
-        for (name, &ns) in &sim {
-            t.push_row(vec![
-                name.to_string(),
-                crate::report::fmt_secs(ns as f64 * 1e-9),
-                crate::report::fmt_pct(ns as f64 / total.max(1) as f64),
-            ]);
-        }
-        out.push(t);
-    }
-
-    let spans = snap.span_totals();
-    if !spans.is_empty() {
-        let mut t = Table::new(
-            "Telemetry: wall-clock spans",
-            &["span", "count", "total", "mean"],
-        );
-        for (name, agg) in &spans {
-            t.push_row(vec![
-                name.to_string(),
-                agg.count.to_string(),
-                crate::report::fmt_secs(agg.total_ns as f64 * 1e-9),
-                crate::report::fmt_secs(agg.total_ns as f64 * 1e-9 / agg.count.max(1) as f64),
-            ]);
-        }
-        out.push(t);
-    }
-
-    if !snap.counters.is_empty() {
-        let mut t = Table::new("Telemetry: counters", &["counter", "value"]);
-        for (name, value) in &snap.counters {
-            t.push_row(vec![name.to_string(), value.to_string()]);
-        }
-        out.push(t);
-    }
-
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Table;
     use std::path::Path;
     use std::sync::Mutex;
 
     /// Serializes tests that flip the global telemetry state.
     static LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn telemetry_tables_cover_each_section() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fastgl_telemetry::set_enabled(true);
-        fastgl_telemetry::reset();
-        {
-            let _s = fastgl_telemetry::span("bench.demo");
-        }
-        fastgl_telemetry::counter_add("bench.counter", 7);
-        fastgl_telemetry::record_sim_phases("epoch", &[("sample", 10), ("compute", 30)]);
-        let snap = fastgl_telemetry::drain();
-        fastgl_telemetry::set_enabled(false);
-
-        let tables = telemetry_tables(&snap);
-        assert_eq!(tables.len(), 3);
-        let all: String = tables.iter().map(Table::to_text).collect();
-        assert!(all.contains("bench.demo"));
-        assert!(all.contains("bench.counter"));
-        assert!(all.contains("sample"));
-        // Tables are the regular report type: CSV/JSON export works too.
-        assert!(tables[0].to_json().starts_with("{\"title\""));
-    }
-
-    #[test]
-    fn telemetry_tables_empty_when_nothing_recorded() {
-        let snap = Snapshot::default();
-        assert!(telemetry_tables(&snap).is_empty());
-    }
 
     #[test]
     fn finish_stamps_provenance_and_honours_results_dir_override() {

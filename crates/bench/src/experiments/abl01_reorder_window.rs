@@ -8,7 +8,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{FastGl, TrainingSystem};
+use fastgl_core::{Pipeline, TrainingSystem};
 use fastgl_graph::Dataset;
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ pub fn run(scale: &BenchScale) -> Report {
     for window in [2usize, 4, 8, 16, 32] {
         let mut cfg = base_config(scale).with_gpus(1).with_cache_ratio(0.0);
         cfg.reorder_window = window;
-        let mut sys = FastGl::new(cfg);
+        let mut sys = Pipeline::fastgl(cfg);
         let wall = Instant::now();
         let s = sys.run_epochs(&data, scale.epochs);
         let elapsed = wall.elapsed();

@@ -8,6 +8,7 @@ use crate::experiments::base_config;
 use crate::report::{fmt_pct, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
 use fastgl_baselines::SystemKind;
+use fastgl_core::TrainingSystem;
 use fastgl_graph::Dataset;
 
 /// Runs the experiment.

@@ -7,7 +7,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{ComputeMode, FastGl, FastGlConfig, IdMapKind, TrainingSystem};
+use fastgl_core::{ComputeMode, FastGlConfig, IdMapKind, Pipeline, TrainingSystem};
 use fastgl_gnn::ModelKind;
 use fastgl_graph::Dataset;
 
@@ -60,7 +60,7 @@ pub fn run(scale: &BenchScale) -> Report {
         );
         let base = base_config(scale).with_model(model);
         for (name, cfg) in staged_variants(&base) {
-            let mut sys = FastGl::new(cfg);
+            let mut sys = Pipeline::fastgl(cfg);
             let s = sys.run_epochs(&data, scale.epochs);
             table.push_row(vec![
                 name.into(),

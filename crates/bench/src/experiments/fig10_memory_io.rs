@@ -4,8 +4,8 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_baselines::GnnLabSystem;
-use fastgl_core::{FastGl, TrainingSystem};
+use fastgl_baselines::SystemKind;
+use fastgl_core::{CachePolicy, Pipeline, TrainingSystem};
 use fastgl_graph::Dataset;
 
 /// Runs the experiment.
@@ -22,8 +22,10 @@ pub fn run(scale: &BenchScale) -> Report {
         &["cache ratio", "GNNLab", "FastGL"],
     );
     for ratio in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9] {
-        let mut lab = GnnLabSystem::with_cache_ratio(base_config(scale), ratio);
-        let mut fast = FastGl::new(base_config(scale).with_cache_ratio(ratio));
+        let (lab_config, mut lab_policy) = SystemKind::GnnLab.configure(base_config(scale));
+        lab_policy.cache = CachePolicy::Ratio(ratio);
+        let mut lab = Pipeline::new(SystemKind::GnnLab.name(), lab_config, lab_policy);
+        let mut fast = Pipeline::fastgl(base_config(scale).with_cache_ratio(ratio));
         let io_lab = lab.run_epochs(&data, scale.epochs).breakdown.io;
         let io_fast = fast.run_epochs(&data, scale.epochs).breakdown.io;
         a.push_row(vec![
@@ -55,9 +57,9 @@ pub fn run(scale: &BenchScale) -> Report {
         let mut match_only = base.clone();
         match_only.enable_reorder = false;
         let reordered = base;
-        let s_dgl = FastGl::new(dgl_cfg).run_epochs(&data, scale.epochs);
-        let s_m = FastGl::new(match_only).run_epochs(&data, scale.epochs);
-        let s_r = FastGl::new(reordered).run_epochs(&data, scale.epochs);
+        let s_dgl = Pipeline::fastgl(dgl_cfg).run_epochs(&data, scale.epochs);
+        let s_m = Pipeline::fastgl(match_only).run_epochs(&data, scale.epochs);
+        let s_r = Pipeline::fastgl(reordered).run_epochs(&data, scale.epochs);
         b.push_row(vec![
             dataset.short_name().into(),
             fmt_secs(s_dgl.breakdown.io.as_secs_f64()),

@@ -7,7 +7,7 @@ use crate::experiments::base_config;
 use crate::experiments::fig03_ablation_breakdown::staged_variants;
 use crate::report::{fmt_ratio, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{FastGl, TrainingSystem};
+use fastgl_core::{Pipeline, TrainingSystem};
 use fastgl_graph::Dataset;
 
 /// Runs the experiment.
@@ -25,7 +25,7 @@ pub fn run(scale: &BenchScale) -> Report {
         let data = scale.bundle(dataset);
         let mut naive_time = None;
         for (i, (_, cfg)) in variants.iter().enumerate() {
-            let t = FastGl::new(cfg.clone())
+            let t = Pipeline::fastgl(cfg.clone())
                 .run_epochs(&data, scale.epochs)
                 .total()
                 .as_secs_f64();

@@ -17,7 +17,7 @@ use crate::experiments::base_config;
 use crate::report::{fmt_bytes, fmt_pct, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
 use fastgl_core::{
-    CachePolicy, CacheRankPolicy, EpochStats, FastGl, Pipeline, PipelinePolicy, TrainingSystem,
+    CachePolicy, CacheRankPolicy, EpochStats, Pipeline, PipelinePolicy, TrainingSystem,
 };
 use fastgl_graph::Dataset;
 use fastgl_insight::critical_path::{self, BindingStage, CriticalPath};
@@ -101,7 +101,7 @@ pub fn run(scale: &BenchScale) -> Report {
     // Small windows so the epoch splits into several pipelined windows.
     let mut cfg = base_config(scale).with_prefetch_windows(2);
     cfg.reorder_window = 2;
-    let mut sys = FastGl::new(cfg);
+    let mut sys = Pipeline::fastgl(cfg);
     let mut last: Option<EpochStats> = None;
     for epoch in 0..scale.epochs {
         last = Some(sys.run_epoch(&data, epoch));

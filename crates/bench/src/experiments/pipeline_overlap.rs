@@ -10,7 +10,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_ratio, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{FastGl, StageWallStats, TrainingSystem};
+use fastgl_core::{Pipeline, StageWallStats, TrainingSystem};
 use fastgl_graph::Dataset;
 use std::time::Instant;
 
@@ -49,7 +49,7 @@ pub fn run(scale: &BenchScale) -> Report {
         // profile's batch count allows instead of one monolithic window.
         let mut cfg = base_config(scale).with_prefetch_windows(depth);
         cfg.reorder_window = 2;
-        let mut sys = FastGl::new(cfg);
+        let mut sys = Pipeline::fastgl(cfg);
         let started = Instant::now();
         let s = sys.run_epochs(&data, scale.epochs);
         let elapsed = started.elapsed().as_secs_f64();

@@ -10,7 +10,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_bytes, fmt_pct, fmt_ratio, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{FastGl, FaultPlan, TrainingSystem};
+use fastgl_core::{FaultPlan, Pipeline, TrainingSystem};
 use fastgl_graph::Dataset;
 
 /// Runs the experiment.
@@ -20,7 +20,7 @@ pub fn run(scale: &BenchScale) -> Report {
         "Fault injection: per-class recovery cost and cache-pressure degradation curve",
     );
     let data = scale.bundle(Dataset::Products);
-    let clean = FastGl::new(base_config(scale)).run_epochs(&data, scale.epochs);
+    let clean = Pipeline::fastgl(base_config(scale)).run_epochs(&data, scale.epochs);
 
     // Per-class recovery cost, each plan injected alone so its cost is
     // attributable. The combined row is the ops-facing headline: every
@@ -62,12 +62,12 @@ pub fn run(scale: &BenchScale) -> Report {
         if let Some(p) = plan {
             cfg = cfg.with_faults(p.parse::<FaultPlan>().expect("bench plan parses"));
         }
-        let mut sys = FastGl::new(cfg.clone());
+        let mut sys = Pipeline::fastgl(cfg.clone());
         let s = sys.run_epochs(&data, scale.epochs);
         let res = sys.resilience_stats();
         // The determinism contract under faults: a re-run at a different
         // prefetch depth reproduces both the statistics and the counters.
-        let mut rerun = FastGl::new(cfg.with_prefetch_windows(2).with_threads(2));
+        let mut rerun = Pipeline::fastgl(cfg.with_prefetch_windows(2).with_threads(2));
         let s2 = rerun.run_epochs(&data, scale.epochs);
         assert_eq!(s, s2, "faulted run diverged across pipeline settings");
         assert_eq!(res, rerun.resilience_stats(), "counters diverged");
@@ -107,7 +107,7 @@ pub fn run(scale: &BenchScale) -> Report {
         let plan: FaultPlan = format!("oom@epoch=0:{fraction}")
             .parse()
             .expect("bench plan parses");
-        let mut sys = FastGl::new(base_config(scale).with_faults(plan));
+        let mut sys = Pipeline::fastgl(base_config(scale).with_faults(plan));
         let s = sys.run_epochs(&data, scale.epochs);
         let res = sys.resilience_stats();
         let hits = s.rows_reused + s.rows_cached;

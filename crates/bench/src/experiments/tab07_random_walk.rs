@@ -7,7 +7,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_ratio, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_core::{FastGl, TrainingSystem};
+use fastgl_core::{Pipeline, TrainingSystem};
 use fastgl_graph::Dataset;
 
 /// Runs the experiment.
@@ -32,17 +32,17 @@ pub fn run(scale: &BenchScale) -> Report {
         let mut ng = base.clone(); // 'no Greedy reorder'
         ng.enable_reorder = false;
         let full = base;
-        let t_dgl = FastGl::new(dgl_cfg)
+        let t_dgl = Pipeline::fastgl(dgl_cfg)
             .run_epochs(&data, scale.epochs)
             .breakdown
             .io
             .as_secs_f64();
-        let t_ng = FastGl::new(ng)
+        let t_ng = Pipeline::fastgl(ng)
             .run_epochs(&data, scale.epochs)
             .breakdown
             .io
             .as_secs_f64();
-        let t_full = FastGl::new(full)
+        let t_full = Pipeline::fastgl(full)
             .run_epochs(&data, scale.epochs)
             .breakdown
             .io

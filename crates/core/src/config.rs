@@ -3,10 +3,9 @@
 use crate::resilience::{FaultPlan, FaultPlanError};
 use fastgl_gnn::ModelKind;
 use fastgl_gpusim::SystemSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which ID-map strategy the sampler uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdMapKind {
     /// DGL-style three-kernel map with synchronized local-ID assignment.
     Baseline,
@@ -15,7 +14,7 @@ pub enum IdMapKind {
 }
 
 /// Which device draws neighbours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleDevice {
     /// CPU sampling (PyG-style), low parallelism.
     Cpu,
@@ -24,7 +23,7 @@ pub enum SampleDevice {
 }
 
 /// How the computation phase accesses memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComputeMode {
     /// Everything streams through L1/L2 from global memory (DGL/PyG).
     Naive,
@@ -36,7 +35,7 @@ pub enum ComputeMode {
 }
 
 /// Which sampling algorithm drives the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerKind {
     /// K-hop uniform neighbour sampling with the configured fanouts.
     Neighbor,
@@ -48,7 +47,7 @@ pub enum SamplerKind {
 }
 
 /// Full configuration of a FastGL (or FastGL-derived baseline) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FastGlConfig {
     /// Simulated hardware.
     pub system: SystemSpec,
@@ -262,6 +261,9 @@ impl FastGlConfig {
                 return Err(format!("cache_ratio {r} outside [0, 1]"));
             }
         }
+        if self.system.num_gpus == 0 {
+            return Err("num_gpus must be positive".into());
+        }
         if self.hidden_dim == 0 {
             return Err("hidden_dim must be positive".into());
         }
@@ -367,6 +369,7 @@ mod tests {
             .validate()
             .is_err());
         assert!(FastGlConfig::default().with_threads(0).validate().is_err());
+        assert!(FastGlConfig::default().with_gpus(0).validate().is_err());
         let c = FastGlConfig {
             reorder_window: 1,
             ..Default::default()

@@ -13,10 +13,10 @@
 //! * Fused-Map sampling (§4.3) — wired through [`sampler::SamplerEngine`]
 //!   from `fastgl-sample`, removing the ID map's thread synchronizations.
 //!
-//! [`pipeline::FastGl`] assembles everything into the epoch loop of the
-//! paper's Fig. 5; [`pipeline::Pipeline`] exposes the same loop with policy
-//! knobs so the baselines (in `fastgl-baselines`) run on an identical
-//! substrate. [`trainer`] runs *real* numeric training for the convergence
+//! [`pipeline::Pipeline`] assembles everything into the epoch loop of the
+//! paper's Fig. 5: [`Pipeline::fastgl`] builds FastGL, and the policy knobs
+//! of [`Pipeline::new`] let the baselines (in `fastgl-baselines`) run on an
+//! identical substrate. [`trainer`] runs *real* numeric training for the convergence
 //! study (Fig. 16). [`resilience`] adds deterministic fault injection and
 //! checkpoint/resume on top of both (DESIGN.md §10).
 
@@ -43,7 +43,7 @@ pub use compute::{ComputeEngine, ComputeResult};
 pub use config::{ComputeMode, FastGlConfig, IdMapKind, SampleDevice, SamplerKind};
 pub use executor::{PipelineExecutor, PipelineWallStats, StageWallStats};
 pub use hotness::{CacheRankPolicy, HotnessCounter};
-pub use pipeline::{CachePolicy, FastGl, Pipeline, PipelinePolicy};
+pub use pipeline::{CachePolicy, Pipeline, PipelinePolicy};
 pub use resilience::{
     run_epochs_checkpointed, Checkpoint, CheckpointError, FaultInjector, FaultKind, FaultPlan,
     FaultPlanError, FaultSpec, ResilienceStats, SimOutcome, SimulationState, TrainerState,

@@ -7,14 +7,13 @@
 //! (CUDA context + framework) reservation.
 
 use fastgl_gnn::LayerWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Fixed bytes reserved by the CUDA context, cuBLAS workspaces, and the
 /// host framework on every GPU (PyTorch reserves on this order).
 pub const RUNTIME_RESERVED_BYTES: u64 = 1_200 * 1024 * 1024;
 
 /// A per-component device-memory estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryEstimate {
     /// Model parameters.
     pub params: u64,

@@ -8,7 +8,6 @@
 //! cost, and GNNLab's sample-hiding — which [`crate::pipeline::Pipeline`]
 //! applies.
 
-use fastgl_gpusim::overlap;
 use fastgl_gpusim::transfer::ring_allreduce_time;
 use fastgl_gpusim::{SimTime, SystemSpec};
 
@@ -54,57 +53,25 @@ impl GpuRoles {
         self.trainers as f64
     }
 
-    /// GNNLab's visible sample time: `samplers` GPUs sample for all
-    /// `trainers`, overlapped with training; only the excess shows.
-    ///
-    /// This is the infinite-buffer steady-state bound
-    /// ([`overlap::steady_state_visible`]) of the shared overlap model —
-    /// the per-window variant below tightens it with fill/drain effects.
-    ///
-    /// With no dedicated samplers the sampling is on the critical path and
-    /// returned unchanged.
-    pub fn visible_sample_time(
-        &self,
-        shard_sample_total: SimTime,
-        train_total: SimTime,
-    ) -> SimTime {
-        if self.samplers == 0 {
-            return shard_sample_total;
-        }
-        let sampler_work = shard_sample_total * (self.trainers as f64 / self.samplers as f64);
-        overlap::steady_state_visible(sampler_work, train_total)
-    }
-
-    /// Per-window visible sample time: the dedicated samplers produce
-    /// window `w + 1` while the trainers consume window `w`, so only the
-    /// pipeline fill plus any window where sampling outruns training shows
-    /// on the critical path ([`overlap::hidden_stage_visible`]).
+    /// Per-window visible sample time of GNNLab's factored design: the
+    /// dedicated samplers produce window `w + 1` while the trainers consume
+    /// window `w`, so only the pipeline fill plus any window where sampling
+    /// outruns training shows on the critical path. Entry `w` is the
+    /// sampling time of window `w` that the overlap model leaves there.
     ///
     /// `sample[w]` is the shard's sampling time of window `w`; `train[w]`
-    /// is the trainers' IO + compute time of the same window. Each
-    /// sampler GPU serves `trainers / samplers` shards, scaling the
-    /// producer side exactly as [`Self::visible_sample_time`] does.
+    /// is the trainers' IO + compute time of the same window. Each sampler
+    /// GPU serves `trainers / samplers` shards, which scales the producer
+    /// side. With no dedicated samplers the sampling is on the critical
+    /// path and returned unchanged.
     ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn visible_sample_windows(&self, sample: &[SimTime], train: &[SimTime]) -> SimTime {
-        if self.samplers == 0 {
-            return sample.iter().copied().sum();
-        }
-        let ratio = self.trainers as f64 / self.samplers as f64;
-        let produced: Vec<SimTime> = sample.iter().map(|&s| s * ratio).collect();
-        overlap::hidden_stage_visible(&produced, train)
-    }
-
-    /// Per-window decomposition of [`Self::visible_sample_windows`]: entry
-    /// `w` is the sampling time of window `w` that the overlap model leaves
-    /// on the critical path. The identity `max(p, c) - c = p ∸ c` (truncated
-    /// subtraction, exact on nanosecond integers) splits the aggregate bound
-    /// window by window — the fill (`produced[0]`) charges to window 0 and
-    /// each later window charges only its production excess over the
-    /// preceding window's training — so the entries sum to the aggregate
-    /// **exactly**, which `fastgl-insight`'s attribution relies on.
+    /// The identity `max(p, c) - c = p ∸ c` (truncated subtraction, exact
+    /// on nanosecond integers) splits the aggregate bound of
+    /// [`fastgl_gpusim::overlap::hidden_stage_visible`] window by window — the fill
+    /// (`produced[0]`) charges to window 0 and each later window charges
+    /// only its production excess over the preceding window's training —
+    /// so the entries sum to that aggregate **exactly**, which
+    /// `fastgl-insight`'s attribution relies on.
     ///
     /// # Panics
     ///
@@ -157,6 +124,7 @@ pub fn ideal_epoch_time(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastgl_gpusim::overlap;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -185,16 +153,16 @@ mod tests {
         assert!(duo.allreduce_time(&spec, 1 << 20) > SimTime::ZERO);
     }
 
-    #[test]
-    fn sample_hiding_semantics() {
-        let r = GpuRoles::new(2, 1); // 1 trainer, 1 sampler
-                                     // Sampler keeps up: fully hidden.
-        assert_eq!(r.visible_sample_time(t(100), t(500)), SimTime::ZERO);
-        // Sampler falls behind: the excess shows.
-        assert_eq!(r.visible_sample_time(t(800), t(500)), t(300));
-        // No dedicated sampler: nothing hidden.
-        let plain = GpuRoles::new(2, 0);
-        assert_eq!(plain.visible_sample_time(t(800), t(500)), t(800));
+    /// The aggregate visible sample time of the overlap model, computed
+    /// straight from [`overlap::hidden_stage_visible`]: the reference the
+    /// per-window split must sum to.
+    fn aggregate_visible(r: &GpuRoles, sample: &[SimTime], train: &[SimTime]) -> SimTime {
+        if r.samplers == 0 {
+            return sample.iter().copied().sum();
+        }
+        let ratio = r.trainers as f64 / r.samplers as f64;
+        let produced: Vec<SimTime> = sample.iter().map(|&s| s * ratio).collect();
+        overlap::hidden_stage_visible(&produced, train)
     }
 
     #[test]
@@ -203,17 +171,17 @@ mod tests {
         let sample = [t(100), t(100), t(100)];
         let train = [t(500), t(500), t(500)];
         // Sampler keeps up: only the first window's fill is visible.
-        assert_eq!(r.visible_sample_windows(&sample, &train), t(100));
+        assert_eq!(aggregate_visible(&r, &sample, &train), t(100));
         // Sampler falls behind on every window: fill + per-window excess.
         let slow = [t(800), t(800), t(800)];
-        assert_eq!(r.visible_sample_windows(&slow, &train), t(800 + 300 + 300));
+        assert_eq!(aggregate_visible(&r, &slow, &train), t(800 + 300 + 300));
         // No dedicated sampler: the full sum is on the critical path.
         let plain = GpuRoles::new(2, 0);
-        assert_eq!(plain.visible_sample_windows(&slow, &train), t(2_400));
+        assert_eq!(aggregate_visible(&plain, &slow, &train), t(2_400));
+        assert_eq!(plain.visible_sample_per_window(&slow, &train), slow);
         // Never less than the steady-state bound for the same totals.
-        let windows = r.visible_sample_windows(&slow, &train);
-        let steady = r.visible_sample_time(t(2_400), t(1_500));
-        assert!(windows >= steady);
+        let steady = overlap::steady_state_visible(t(2_400), t(1_500));
+        assert!(aggregate_visible(&r, &slow, &train) >= steady);
     }
 
     #[test]
@@ -230,7 +198,7 @@ mod tests {
             let sum: SimTime = per.iter().copied().sum();
             assert_eq!(
                 sum,
-                r.visible_sample_windows(&sample, &train),
+                aggregate_visible(&r, &sample, &train),
                 "roles {gpus}/{samplers}"
             );
         }
@@ -265,7 +233,8 @@ mod tests {
     fn two_samplers_halve_the_sampler_work() {
         let r = GpuRoles::new(8, 2); // 6 trainers, 2 samplers
                                      // Work = 6/2 * shard sample.
-        assert_eq!(r.visible_sample_time(t(100), SimTime::ZERO), t(300));
+        let per = r.visible_sample_per_window(&[t(100)], &[SimTime::ZERO]);
+        assert_eq!(per, vec![t(300)]);
     }
 
     #[test]

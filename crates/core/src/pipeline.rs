@@ -158,6 +158,20 @@ impl Pipeline {
         }
     }
 
+    /// The FastGL training system: the pipeline exactly as `config`'s
+    /// ablation flags (`enable_match`, `enable_reorder`, `cache_ratio`, …)
+    /// describe it — with every flag at its default, all three of the
+    /// paper's techniques (Match-Reorder, Memory-Aware computation,
+    /// Fused-Map sampling) plus the opportunistic feature cache of §5.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Pipeline::new`].
+    pub fn fastgl(config: FastGlConfig) -> Self {
+        let policy = PipelinePolicy::from_config(&config);
+        Self::new("FastGL", config, policy)
+    }
+
     /// The pipeline's configuration.
     pub fn config(&self) -> &FastGlConfig {
         &self.config
@@ -348,7 +362,6 @@ impl TrainingSystem for Pipeline {
         let allreduce = roles.allreduce_time(&self.config.system, param_bytes);
 
         let mut stats = EpochStats::default();
-        let mut sample_total = SimTime::ZERO;
         let mut io_total = SimTime::ZERO;
         let mut compute_total = SimTime::ZERO;
         let mut l1_sum = 0.0;
@@ -493,7 +506,6 @@ impl TrainingSystem for Pipeline {
                     stats.peak_memory_bytes = stats.peak_memory_bytes.max(est.total());
                     stats.iterations += 1;
                 }
-                sample_total += win_sample;
                 window_sample.push(win_sample);
                 window_io.push(win_io);
                 window_compute.push(win_compute);
@@ -511,9 +523,9 @@ impl TrainingSystem for Pipeline {
         // trainers; the latency is hidden behind training unless the
         // sampling work outruns it (paper Fig. 14d). The per-window
         // pipeline model in `gpusim::overlap` charges the fill plus any
-        // window where sampling outruns training. The per-window split
-        // sums to the aggregate exactly, so the breakdown and the stage
-        // trace below agree to the nanosecond.
+        // window where sampling outruns training. The visible sample
+        // phase is the sum of the per-window split, so the breakdown and
+        // the stage trace below agree to the nanosecond.
         let window_train: Vec<SimTime> = window_io
             .iter()
             .zip(&window_compute)
@@ -524,11 +536,7 @@ impl TrainingSystem for Pipeline {
         } else {
             window_sample.clone()
         };
-        let visible_sample = if self.policy.overlap_sample {
-            roles.visible_sample_windows(&window_sample, &window_train)
-        } else {
-            sample_total
-        };
+        let visible_sample: SimTime = visible_per_window.iter().copied().sum();
         self.last_trace = Some(EpochWindowTrace {
             windows: window_sample
                 .iter()
@@ -577,62 +585,6 @@ impl TrainingSystem for Pipeline {
     }
 }
 
-/// The FastGL training system: the pipeline with all three of the paper's
-/// techniques enabled (Match-Reorder, Memory-Aware computation, Fused-Map
-/// sampling), plus the opportunistic feature cache of §5.
-#[derive(Debug)]
-pub struct FastGl {
-    inner: Pipeline,
-}
-
-impl FastGl {
-    /// Builds FastGL from its configuration; the policy follows the
-    /// config's ablation flags (`enable_match`, `enable_reorder`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(config: FastGlConfig) -> Self {
-        let policy = PipelinePolicy::from_config(&config);
-        Self {
-            inner: Pipeline::new("FastGL", config, policy),
-        }
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &FastGlConfig {
-        self.inner.config()
-    }
-
-    /// Wall-clock stage accounting of the most recent epoch's window
-    /// pipeline (`None` before the first epoch).
-    pub fn pipeline_wall_stats(&self) -> Option<PipelineWallStats> {
-        self.inner.pipeline_wall_stats()
-    }
-
-    /// Per-window simulated stage timings of the most recent epoch
-    /// (`None` before the first epoch).
-    pub fn window_trace(&self) -> Option<&EpochWindowTrace> {
-        self.inner.window_trace()
-    }
-
-    /// Cumulative fault-recovery accounting over every epoch run so far
-    /// (all zero on a fault-free run; see [`crate::resilience`]).
-    pub fn resilience_stats(&self) -> ResilienceStats {
-        self.inner.resilience_stats()
-    }
-}
-
-impl TrainingSystem for FastGl {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run_epoch(&mut self, data: &DatasetBundle, epoch: u64) -> EpochStats {
-        self.inner.run_epoch(data, epoch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,7 +604,7 @@ mod tests {
     #[test]
     fn fastgl_epoch_runs_and_accounts_phases() {
         let data = small_data();
-        let mut sys = FastGl::new(small_config());
+        let mut sys = Pipeline::fastgl(small_config());
         let s = sys.run_epoch(&data, 0);
         assert!(s.iterations > 0);
         assert!(s.breakdown.sample > SimTime::ZERO);
@@ -667,23 +619,23 @@ mod tests {
     #[test]
     fn epochs_are_deterministic() {
         let data = small_data();
-        let mut a = FastGl::new(small_config());
-        let mut b = FastGl::new(small_config());
+        let mut a = Pipeline::fastgl(small_config());
+        let mut b = Pipeline::fastgl(small_config());
         assert_eq!(a.run_epoch(&data, 3), b.run_epoch(&data, 3));
     }
 
     #[test]
     fn match_reduces_loaded_rows() {
         let data = small_data();
-        let mut with_match = FastGl::new(small_config());
+        let mut with_match = Pipeline::fastgl(small_config());
         let mut cfg = small_config();
         cfg.enable_match = false;
         cfg.enable_reorder = false;
         cfg.cache_ratio = Some(0.0);
-        let mut without = FastGl::new(cfg);
+        let mut without = Pipeline::fastgl(cfg);
         let mut cfg2 = small_config();
         cfg2.cache_ratio = Some(0.0);
-        let mut match_only = FastGl::new(cfg2);
+        let mut match_only = Pipeline::fastgl(cfg2);
         let s_without = without.run_epoch(&data, 0);
         let s_match = match_only.run_epoch(&data, 0);
         let _ = with_match.run_epoch(&data, 0);
@@ -700,14 +652,14 @@ mod tests {
     #[test]
     fn fastgl_beats_naive_pipeline_end_to_end() {
         let data = small_data();
-        let mut fast = FastGl::new(small_config());
+        let mut fast = Pipeline::fastgl(small_config());
         let mut naive_cfg = small_config();
         naive_cfg.enable_match = false;
         naive_cfg.enable_reorder = false;
         naive_cfg.cache_ratio = Some(0.0);
         naive_cfg.compute_mode = ComputeMode::Naive;
         naive_cfg.id_map = IdMapKind::Baseline;
-        let mut naive = FastGl::new(naive_cfg);
+        let mut naive = Pipeline::fastgl(naive_cfg);
         let t_fast = fast.run_epoch(&data, 0).total();
         let t_naive = naive.run_epoch(&data, 0).total();
         let speedup = t_naive.as_secs_f64() / t_fast.as_secs_f64();
@@ -722,8 +674,8 @@ mod tests {
         let cfg = FastGlConfig::default()
             .with_batch_size(64)
             .with_fanouts(vec![5, 10]);
-        let mut one = FastGl::new(cfg.clone().with_gpus(1));
-        let mut four = FastGl::new(cfg.with_gpus(4));
+        let mut one = Pipeline::fastgl(cfg.clone().with_gpus(1));
+        let mut four = Pipeline::fastgl(cfg.with_gpus(4));
         let t1 = one.run_epoch(&data, 0).total().as_secs_f64();
         let t4 = four.run_epoch(&data, 0).total().as_secs_f64();
         let speedup = t1 / t4;
@@ -737,7 +689,7 @@ mod tests {
         let mut cfg = small_config().with_cache_ratio(0.5);
         cfg.enable_match = false;
         cfg.enable_reorder = false;
-        let mut sys = FastGl::new(cfg);
+        let mut sys = Pipeline::fastgl(cfg);
         let s = sys.run_epoch(&data, 0);
         assert!(s.rows_cached > 0);
     }
@@ -747,7 +699,7 @@ mod tests {
         let data = small_data();
         let mut cfg = small_config().with_cache_ratio(0.0);
         cfg.enable_match = false;
-        let mut sys = FastGl::new(cfg);
+        let mut sys = Pipeline::fastgl(cfg);
         let s = sys.run_epoch(&data, 0);
         assert_eq!(s.rows_cached, 0);
     }
@@ -755,7 +707,7 @@ mod tests {
     #[test]
     fn window_trace_reproduces_the_breakdown_exactly() {
         let data = small_data();
-        let mut sys = FastGl::new(small_config());
+        let mut sys = Pipeline::fastgl(small_config());
         let s = sys.run_epoch(&data, 0);
         let trace = sys.window_trace().expect("trace after an epoch").clone();
         assert!(!trace.is_empty());
@@ -821,11 +773,11 @@ mod tests {
     #[test]
     fn injected_faults_degrade_but_do_not_abort() {
         let data = small_data();
-        let mut clean = FastGl::new(small_config());
+        let mut clean = Pipeline::fastgl(small_config());
         let plan = "pcie_stall@batch=1,transfer_error@batch=2:2,oom@epoch=0,worker_panic@window=0"
             .parse()
             .unwrap();
-        let mut faulty = FastGl::new(small_config().with_faults(plan));
+        let mut faulty = Pipeline::fastgl(small_config().with_faults(plan));
         let s_clean = clean.run_epoch(&data, 0);
         let s_faulty = faulty.run_epoch(&data, 0);
         let res = faulty.resilience_stats();
@@ -850,8 +802,8 @@ mod tests {
             "pcie_stall@batch=0:2,oom@epoch=1:0.5,worker_panic@window=1"
                 .parse()
                 .unwrap();
-        let mut a = FastGl::new(small_config().with_faults(plan.clone()));
-        let mut b = FastGl::new(small_config().with_faults(plan));
+        let mut a = Pipeline::fastgl(small_config().with_faults(plan.clone()));
+        let mut b = Pipeline::fastgl(small_config().with_faults(plan));
         for epoch in 0..2 {
             assert_eq!(a.run_epoch(&data, epoch), b.run_epoch(&data, epoch));
             assert_eq!(a.resilience_stats(), b.resilience_stats());

@@ -1,8 +1,8 @@
 //! Epoch/batch checkpointing with a bit-exact hand-rolled binary codec.
 //!
-//! The workspace's `serde` is an offline marker stand-in (no backend), so
-//! checkpoints use the same style of explicit little-endian binary format
-//! as `fastgl_graph::io`: magic bytes, a version word, then
+//! The workspace has no serialization framework, so checkpoints use the
+//! same style of explicit little-endian binary format as
+//! `fastgl_graph::io`: magic bytes, a version word, then
 //! length-prefixed sections. Floating-point values are stored as raw IEEE
 //! bit patterns (`to_le_bytes`), which is what makes a resumed run
 //! **bit-identical** to an uninterrupted one — no decimal round-trip.

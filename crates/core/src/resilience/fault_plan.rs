@@ -18,12 +18,11 @@
 //! sequence an uninterrupted run saw.
 
 use fastgl_gpusim::{RetryCostModel, TransferFault};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// The kinds of fault the plan can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// PCIe link stall on a batch's feature load (`pcie_stall@batch=K`);
     /// magnitude = stall factor × copy time (default 4).
@@ -72,7 +71,7 @@ impl FaultKind {
 
 /// One entry of a fault plan: a kind, its trigger index, and an optional
 /// magnitude (meaning depends on the kind — see [`FaultKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// What to inject.
     pub kind: FaultKind,
@@ -225,7 +224,7 @@ impl std::error::Error for FaultPlanError {}
 /// let err = FaultPlan::parse("oom@batch=1").unwrap_err();
 /// assert!(err.to_string().contains("scope 'epoch'"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
 }

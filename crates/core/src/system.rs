@@ -8,10 +8,9 @@
 
 use fastgl_gpusim::{PhaseBreakdown, SimTime};
 use fastgl_graph::DatasetBundle;
-use serde::{Deserialize, Serialize};
 
 /// The measured outcome of one simulated training epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochStats {
     /// Per-phase simulated time (per GPU, i.e. the epoch's critical path).
     pub breakdown: PhaseBreakdown,

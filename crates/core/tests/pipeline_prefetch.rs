@@ -5,7 +5,7 @@
 //! the policy-driven baselines sharing the same `Pipeline`.
 
 use fastgl_core::pipeline::{CachePolicy, Pipeline, PipelinePolicy};
-use fastgl_core::{CacheRankPolicy, EpochStats, FastGl, FastGlConfig, TrainingSystem};
+use fastgl_core::{CacheRankPolicy, EpochStats, FastGlConfig, TrainingSystem};
 use fastgl_graph::Dataset;
 
 fn config() -> FastGlConfig {
@@ -35,7 +35,7 @@ fn fastgl_epoch(prefetch: usize, threads: usize) -> EpochStats {
     let cfg = config()
         .with_prefetch_windows(prefetch)
         .with_threads(threads);
-    FastGl::new(cfg).run_epoch(&data(), 2)
+    Pipeline::fastgl(cfg).run_epoch(&data(), 2)
 }
 
 fn baseline_epoch(prefetch: usize, threads: usize) -> EpochStats {
@@ -88,8 +88,8 @@ fn multi_epoch_runs_are_prefetch_invariant() {
     // Epoch-to-epoch state (IO engine, auto-cache probe, per-epoch RNG
     // streams) must also be immune to prefetch.
     let d = data();
-    let mut serial = FastGl::new(config().with_prefetch_windows(0));
-    let mut piped = FastGl::new(config().with_prefetch_windows(3));
+    let mut serial = Pipeline::fastgl(config().with_prefetch_windows(0));
+    let mut piped = Pipeline::fastgl(config().with_prefetch_windows(3));
     assert_eq!(serial.run_epochs(&d, 3), piped.run_epochs(&d, 3));
 }
 
@@ -104,14 +104,14 @@ fn channel_bound_one_backpressure_preserves_results() {
     // A deeper prefetch (larger channels, more windows in flight) must
     // land on the same results as the squeezed run.
     let cfg = config().with_prefetch_windows(4).with_threads(8);
-    let got = FastGl::new(cfg).run_epoch(&data(), 2);
+    let got = Pipeline::fastgl(cfg).run_epoch(&data(), 2);
     assert_eq!(got, reference);
 }
 
 #[test]
 fn wall_stats_reflect_configured_depth() {
     let d = data();
-    let mut sys = FastGl::new(config().with_prefetch_windows(2));
+    let mut sys = Pipeline::fastgl(config().with_prefetch_windows(2));
     let _ = sys.run_epoch(&d, 0);
     let wall = sys.pipeline_wall_stats().expect("epoch ran");
     assert_eq!(wall.prefetch, 2);

@@ -6,7 +6,7 @@
 //! snapshot contains no stranger names.
 
 use fastgl_core::system::TrainingSystem;
-use fastgl_core::{FastGl, FastGlConfig};
+use fastgl_core::{FastGlConfig, Pipeline};
 use fastgl_graph::{Dataset, DatasetBundle};
 use fastgl_telemetry::names;
 use std::collections::BTreeSet;
@@ -32,7 +32,7 @@ fn emitted_names(cfg: FastGlConfig, threads: usize) -> BTreeSet<&'static str> {
     fastgl_telemetry::reset();
     fastgl_tensor::parallel::set_num_threads(threads);
     let bundle = data();
-    let mut sys = FastGl::new(cfg);
+    let mut sys = Pipeline::fastgl(cfg);
     for epoch in 0..2 {
         sys.run_epoch(&bundle, epoch);
     }

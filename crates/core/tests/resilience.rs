@@ -7,7 +7,7 @@
 
 use fastgl_core::resilience::{run_epochs_checkpointed, Checkpoint, SimOutcome};
 use fastgl_core::trainer::{train_resumable, train_with_validation, TrainOutcome, TrainerConfig};
-use fastgl_core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl_core::{FastGlConfig, Pipeline, TrainingSystem};
 use fastgl_graph::generate::community::{self, CommunityConfig, CommunityGraph};
 use fastgl_graph::{Dataset, DatasetBundle, NodeId};
 use fastgl_telemetry::names;
@@ -48,12 +48,12 @@ fn sim_kill_resume_bit_identical_across_prefetch_and_threads() {
         let cfg = sim_config()
             .with_prefetch_windows(prefetch)
             .with_threads(threads);
-        let full = FastGl::new(cfg.clone()).run_epochs(&data, 4);
+        let full = Pipeline::fastgl(cfg.clone()).run_epochs(&data, 4);
         // Kill after 2 epochs, round-trip the checkpoint through disk,
         // resume in a fresh system, possibly at a different pipeline
         // setting than the one that saved it.
         let SimOutcome::Interrupted(ckpt) =
-            run_epochs_checkpointed(&mut FastGl::new(cfg.clone()), &data, 4, None, Some(2))
+            run_epochs_checkpointed(&mut Pipeline::fastgl(cfg.clone()), &data, 4, None, Some(2))
                 .unwrap()
         else {
             panic!("expected an interruption at ({prefetch}, {threads})")
@@ -64,7 +64,8 @@ fn sim_kill_resume_bit_identical_across_prefetch_and_threads() {
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, *ckpt, "disk round-trip must be lossless");
         let SimOutcome::Complete(avg) =
-            run_epochs_checkpointed(&mut FastGl::new(cfg), &data, 4, Some(&loaded), None).unwrap()
+            run_epochs_checkpointed(&mut Pipeline::fastgl(cfg), &data, 4, Some(&loaded), None)
+                .unwrap()
         else {
             panic!("expected completion at ({prefetch}, {threads})")
         };
@@ -193,7 +194,7 @@ fn every_fault_class_recovers_and_shows_in_telemetry() {
         "pcie_stall@batch=0:3,transfer_error@batch=1:2,oom@epoch=0:0.5,worker_panic@window=0"
             .parse()
             .unwrap();
-    let mut sys = FastGl::new(
+    let mut sys = Pipeline::fastgl(
         sim_config()
             .with_faults(plan)
             .with_prefetch_windows(2)
@@ -235,15 +236,16 @@ fn faulted_runs_still_kill_resume_bit_identically() {
             .with_faults(plan.clone())
             .with_prefetch_windows(prefetch)
             .with_threads(threads);
-        let full = FastGl::new(cfg.clone()).run_epochs(&data, 4);
+        let full = Pipeline::fastgl(cfg.clone()).run_epochs(&data, 4);
         let SimOutcome::Interrupted(ckpt) =
-            run_epochs_checkpointed(&mut FastGl::new(cfg.clone()), &data, 4, None, Some(3))
+            run_epochs_checkpointed(&mut Pipeline::fastgl(cfg.clone()), &data, 4, None, Some(3))
                 .unwrap()
         else {
             panic!("expected an interruption")
         };
         let SimOutcome::Complete(avg) =
-            run_epochs_checkpointed(&mut FastGl::new(cfg), &data, 4, Some(&ckpt), None).unwrap()
+            run_epochs_checkpointed(&mut Pipeline::fastgl(cfg), &data, 4, Some(&ckpt), None)
+                .unwrap()
         else {
             panic!("expected completion")
         };

@@ -5,7 +5,7 @@
 
 use fastgl_core::system::TrainingSystem;
 use fastgl_core::trainer::{train, TrainerConfig};
-use fastgl_core::{EpochStats, FastGl, FastGlConfig};
+use fastgl_core::{EpochStats, FastGlConfig, Pipeline};
 use fastgl_graph::generate::community::{self, CommunityConfig};
 use fastgl_graph::{Dataset, DatasetBundle, NodeId};
 use std::sync::Mutex;
@@ -33,7 +33,7 @@ fn run_with_telemetry(threads: usize) -> (Vec<EpochStats>, fastgl_telemetry::Sna
     fastgl_telemetry::reset();
     fastgl_tensor::parallel::set_num_threads(threads);
     let bundle = data();
-    let mut sys = FastGl::new(config());
+    let mut sys = Pipeline::fastgl(config());
     let stats: Vec<EpochStats> = (0..2).map(|e| sys.run_epoch(&bundle, e)).collect();
     let snap = fastgl_telemetry::drain();
     fastgl_tensor::parallel::set_num_threads(0);
@@ -177,7 +177,7 @@ fn disabled_telemetry_leaves_results_and_buffers_untouched() {
     fastgl_telemetry::set_enabled(false);
     fastgl_telemetry::reset();
     let bundle = data();
-    let mut sys = FastGl::new(config());
+    let mut sys = Pipeline::fastgl(config());
     let stats: Vec<EpochStats> = (0..2).map(|e| sys.run_epoch(&bundle, e)).collect();
     assert_eq!(stats, enabled_stats, "telemetry must not affect results");
     let snap = fastgl_telemetry::snapshot();

@@ -9,10 +9,9 @@ use fastgl_sample::SampledSubgraph;
 use fastgl_tensor::loss::{softmax_cross_entropy, LossOutput};
 use fastgl_tensor::{Matrix, Optimizer};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The three model families the paper evaluates (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Graph Convolutional Network (hidden width 64).
     Gcn,
@@ -47,7 +46,7 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// Architecture description used to build a [`GnnModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Model family.
     pub kind: ModelKind,

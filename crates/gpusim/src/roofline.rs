@@ -9,10 +9,9 @@
 use crate::kernel::KernelProfile;
 use crate::spec::DeviceSpec;
 use crate::timeline::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One kernel's position on the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// FLOPs per byte of DRAM (global-memory) traffic.
     pub operational_intensity: f64,

@@ -5,10 +5,8 @@
 //! its public peak-FLOP figure; the default host models the paper's PCIe
 //! 4.0 ×16 link and EPYC-class CPU.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable model name.
     pub name: String,
@@ -96,7 +94,7 @@ impl Default for DeviceSpec {
 }
 
 /// Parameters of the simulated host and host–device interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSpec {
     /// Nominal PCIe bandwidth, bytes per second (32 GB/s for PCIe 4.0 ×16).
     pub pcie_bw: f64,
@@ -144,7 +142,7 @@ impl Default for HostSpec {
 /// so the simulated phase breakdowns land in the regimes the paper reports
 /// (memory IO ≈ 50–77 % of a DGL epoch, ID map ≈ 70 % of the sample phase,
 /// and so on); see `EXPERIMENTS.md` for the calibration evidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// GPU neighbour-draw cost per sampled edge (amortized), ns.
     pub gpu_sample_edge_ns: f64,
@@ -203,7 +201,7 @@ impl Default for CostParams {
 }
 
 /// The full simulated system: device, host, cost calibration, GPU count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     /// GPU model parameters.
     pub device: DeviceSpec,

@@ -1,6 +1,5 @@
 //! Simulated time and per-phase accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(t.as_nanos(), 3_500);
 /// assert!(t < SimTime::from_millis(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -143,7 +140,7 @@ impl fmt::Display for SimTime {
 
 /// Time attributed to the three phases of sampling-based GNN training
 /// (paper Fig. 2): subgraph sample, memory IO, and computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseBreakdown {
     /// Sample phase: subgraph sampling plus the ID-map process.
     pub sample: SimTime,

@@ -4,7 +4,6 @@
 //! an `offsets` array of length `n + 1` and a flat `targets` array holding
 //! the out-neighbours of node `i` at `targets[offsets[i]..offsets[i + 1]]`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in the *raw* (global) graph.
@@ -13,9 +12,7 @@ use std::fmt;
 /// consecutive **local IDs** by the ID-map process (see `fastgl-sample`).
 /// The public field mirrors the paper's treatment of IDs as plain integers —
 /// `NodeId` is a passive value, not an abstraction boundary.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
@@ -110,7 +107,7 @@ impl std::error::Error for CsrError {}
 /// assert_eq!(g.neighbors(NodeId(0)), &[1, 2]);
 /// assert_eq!(g.degree(NodeId(1)), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<u64>,
     targets: Vec<u64>,

@@ -11,10 +11,9 @@ use crate::csr::{Csr, NodeId};
 use crate::features::FeatureStore;
 use crate::generate::rmat::{self, RmatConfig};
 use crate::partition::NodeSplit;
-use serde::{Deserialize, Serialize};
 
 /// The five benchmark graphs of the paper's Table 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Reddit post-to-post graph (Hamilton et al.). 233k nodes, 0.11B edges.
     Reddit,
@@ -144,7 +143,7 @@ impl std::fmt::Display for Dataset {
 }
 
 /// Statistics of a (possibly scaled) dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Which benchmark this describes.
     pub dataset: Dataset,

@@ -6,7 +6,7 @@
 //! overlapped (dedicated-sampler) configuration.
 
 use fastgl_core::system::TrainingSystem;
-use fastgl_core::{CachePolicy, CacheRankPolicy, FastGl, FastGlConfig, Pipeline, PipelinePolicy};
+use fastgl_core::{CachePolicy, CacheRankPolicy, FastGlConfig, Pipeline, PipelinePolicy};
 use fastgl_gpusim::SimTime;
 use fastgl_graph::{Dataset, DatasetBundle};
 use fastgl_insight::critical_path;
@@ -39,7 +39,7 @@ fn binding_histogram_is_identical_across_prefetch_and_threads() {
     let mut reference: Option<critical_path::CriticalPath> = None;
     for (prefetch, threads) in MATRIX {
         fastgl_tensor::parallel::set_num_threads(threads);
-        let mut sys = FastGl::new(config(prefetch).with_threads(threads));
+        let mut sys = Pipeline::fastgl(config(prefetch).with_threads(threads));
         let stats = sys.run_epoch(&bundle, 0);
         let trace = sys.window_trace().expect("epoch ran");
         let cp = critical_path::analyze(trace);

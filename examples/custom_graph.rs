@@ -10,7 +10,7 @@
 //! is one `src dst` pair per line; `#` comments allowed.
 
 use fastgl::baselines::SystemKind;
-use fastgl::core::FastGlConfig;
+use fastgl::core::{FastGlConfig, TrainingSystem};
 use fastgl::graph::datasets::{DatasetBundle, DatasetSpec};
 use fastgl::graph::{io, Dataset, DegreeStats, FeatureStore, NodeSplit};
 use std::path::PathBuf;

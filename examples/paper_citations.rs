@@ -10,9 +10,9 @@
 //! scale, then sweeps the cache ratio to show FastGL's advantage grows
 //! exactly where caches cannot help.
 
-use fastgl::baselines::GnnLabSystem;
+use fastgl::baselines::SystemKind;
 use fastgl::core::memory_model::estimate_unique_nodes;
-use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl::core::{CachePolicy, FastGlConfig, Pipeline, TrainingSystem};
 use fastgl::graph::Dataset;
 
 fn main() {
@@ -42,8 +42,10 @@ fn main() {
         "cache ratio", "GNNLab IO", "FastGL IO"
     );
     for ratio in [0.0, 0.2, 0.4, 0.6, 0.8] {
-        let mut lab = GnnLabSystem::with_cache_ratio(base.clone(), ratio);
-        let mut fast = FastGl::new(base.clone().with_cache_ratio(ratio));
+        let (lab_config, mut lab_policy) = SystemKind::GnnLab.configure(base.clone());
+        lab_policy.cache = CachePolicy::Ratio(ratio);
+        let mut lab = Pipeline::new(SystemKind::GnnLab.name(), lab_config, lab_policy);
+        let mut fast = Pipeline::fastgl(base.clone().with_cache_ratio(ratio));
         let io_lab = lab.run_epochs(&data, 2).breakdown.io;
         let io_fast = fast.run_epochs(&data, 2).breakdown.io;
         println!(

@@ -14,7 +14,7 @@
 //! `chrome://tracing`) plus `quickstart.telemetry.json`.
 
 use fastgl::baselines::SystemKind;
-use fastgl::core::FastGlConfig;
+use fastgl::core::{FastGlConfig, TrainingSystem};
 use fastgl::graph::Dataset;
 use fastgl::telemetry;
 

@@ -10,7 +10,7 @@
 //! accelerates the memory IO phase there, because walk neighbourhoods of
 //! nearby seeds overlap just like fanout neighbourhoods do.
 
-use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl::core::{FastGlConfig, Pipeline, TrainingSystem};
 use fastgl::graph::{Dataset, DeterministicRng, NodeId};
 use fastgl::sample::{FusedIdMap, RandomWalkSampler};
 
@@ -50,7 +50,7 @@ fn main() {
         let mut c = base.clone();
         c.enable_match = enable_match;
         c.enable_reorder = enable_reorder;
-        FastGl::new(c).run_epochs(&data, 3)
+        Pipeline::fastgl(c).run_epochs(&data, 3)
     };
     let dgl = epoch_io(false, false);
     let match_only = epoch_io(true, false);

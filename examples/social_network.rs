@@ -11,7 +11,7 @@
 //! epoch IO with Match/Reorder on and off.
 
 use fastgl::core::sampler::SamplerEngine;
-use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl::core::{FastGlConfig, Pipeline, TrainingSystem};
 use fastgl::gnn::ModelKind;
 use fastgl::graph::{Dataset, DeterministicRng};
 use fastgl::sample::overlap::{match_degree_matrix, summarize_matrix};
@@ -61,9 +61,9 @@ fn main() {
         let mut c = config.clone().with_cache_ratio(0.0);
         c.enable_match = false;
         c.enable_reorder = false;
-        FastGl::new(c)
+        Pipeline::fastgl(c)
     };
-    let mut with_mr = FastGl::new(config.with_cache_ratio(0.0));
+    let mut with_mr = Pipeline::fastgl(config.with_cache_ratio(0.0));
     let s_without = without.run_epochs(&data, 3);
     let s_with = with_mr.run_epochs(&data, 3);
     println!(

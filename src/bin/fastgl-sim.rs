@@ -11,7 +11,7 @@
 //! statistics the paper's tables are built from.
 
 use fastgl::baselines::SystemKind;
-use fastgl::core::FastGlConfig;
+use fastgl::core::{FastGlConfig, TrainingSystem};
 use fastgl::gnn::ModelKind;
 use fastgl::graph::Dataset;
 use std::process::ExitCode;
@@ -41,7 +41,7 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
     let mut dataset = Dataset::Products;
     let mut system = SystemKind::FastGl;
     let mut config = FastGlConfig::default().with_batch_size(256).with_seed(42);
-    let mut scale = 512.0;
+    let mut scale = 512.0_f64;
     let mut epochs = 3u64;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -115,8 +115,8 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
                 scale = value(&mut i)?
                     .parse()
                     .map_err(|e| format!("bad --scale: {e}"))?;
-                if scale < 1.0 {
-                    return Err("--scale must be at least 1".into());
+                if !(scale >= 1.0 && scale.is_finite()) {
+                    return Err("--scale must be a finite number of at least 1".into());
                 }
             }
             "--epochs" => {
@@ -147,7 +147,11 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
         }
         i += 1;
     }
+    if epochs == 0 {
+        return Err("--epochs must be at least 1".into());
+    }
     config.validate()?;
+    system.check(&config)?;
     Ok((dataset, system, config, scale, epochs))
 }
 

@@ -14,7 +14,7 @@
 //! * [`core`] — the paper's contribution: Match-Reorder, Memory-Aware
 //!   computation, and the FastGL training pipeline.
 //! * [`baselines`] — PyG-, DGL-, GNNLab-, GNNAdvisor-, and PaGraph-like
-//!   systems on the same substrate.
+//!   systems: one table of knobs over the same pipeline.
 //! * [`telemetry`] — spans, counters, and histograms over the training hot
 //!   paths, exported as chrome-trace and JSON (enable with
 //!   `FASTGL_TELEMETRY=1`).
@@ -22,13 +22,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use fastgl::core::{FastGl, FastGlConfig};
-//! use fastgl::core::system::TrainingSystem;
+//! use fastgl::core::{FastGlConfig, Pipeline, TrainingSystem};
 //! use fastgl::graph::Dataset;
 //!
 //! let bundle = Dataset::Products.generate_scaled(1.0 / 2048.0, 42);
 //! let config = FastGlConfig::default().with_batch_size(256);
-//! let mut system = FastGl::new(config);
+//! let mut system = Pipeline::fastgl(config);
 //! let stats = system.run_epoch(&bundle, 0);
 //! assert!(stats.total().as_secs_f64() > 0.0);
 //! ```

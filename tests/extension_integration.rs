@@ -4,7 +4,7 @@
 use fastgl::baselines::SystemKind;
 use fastgl::core::hotness::{rank_nodes, CacheRankPolicy, HotnessCounter};
 use fastgl::core::sampler::SamplerEngine;
-use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl::core::{FastGlConfig, Pipeline, TrainingSystem};
 use fastgl::gnn::ModelKind;
 use fastgl::graph::{Dataset, DeterministicRng};
 
@@ -30,7 +30,7 @@ fn sage_update_costs_more_than_gcn() {
     // SAGE's self + neighbour GEMMs double the update work.
     let data = Dataset::Products.generate_scaled(1.0 / 1024.0, 43);
     let time = |model: ModelKind| {
-        FastGl::new(config().with_model(model))
+        Pipeline::fastgl(config().with_model(model))
             .run_epoch(&data, 0)
             .breakdown
             .compute
@@ -41,8 +41,8 @@ fn sage_update_costs_more_than_gcn() {
 #[test]
 fn layer_wise_pipeline_tames_neighbour_explosion() {
     let data = Dataset::Mag.generate_scaled(1.0 / 1024.0, 45);
-    let mut fanout = FastGl::new(config());
-    let mut ladies = FastGl::new(config().with_layer_wise());
+    let mut fanout = Pipeline::fastgl(config());
+    let mut ladies = Pipeline::fastgl(config().with_layer_wise());
     let s_fanout = fanout.run_epoch(&data, 0);
     let s_ladies = ladies.run_epoch(&data, 0);
     assert!(s_ladies.iterations > 0);
@@ -66,9 +66,9 @@ fn layer_wise_works_with_match_reorder_end_to_end() {
         let mut c = base.clone();
         c.enable_match = false;
         c.enable_reorder = false;
-        FastGl::new(c)
+        Pipeline::fastgl(c)
     };
-    let mut with_mr = FastGl::new(base);
+    let mut with_mr = Pipeline::fastgl(base);
     let s_plain = without.run_epochs(&data, 2);
     let s_mr = with_mr.run_epochs(&data, 2);
     assert!(

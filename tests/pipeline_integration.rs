@@ -3,7 +3,7 @@
 //! headline orderings come out of the full pipeline.
 
 use fastgl::baselines::SystemKind;
-use fastgl::core::FastGlConfig;
+use fastgl::core::{FastGlConfig, TrainingSystem};
 use fastgl::gnn::ModelKind;
 use fastgl::graph::Dataset;
 

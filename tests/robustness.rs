@@ -2,7 +2,7 @@
 //! configuration extremes must degrade gracefully, never panic.
 
 use fastgl::baselines::SystemKind;
-use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
+use fastgl::core::{FastGlConfig, Pipeline, TrainingSystem};
 use fastgl::graph::datasets::{DatasetBundle, DatasetSpec};
 use fastgl::graph::DeterministicRng;
 use fastgl::graph::{Dataset, FeatureStore, GraphBuilder, NodeSplit};
@@ -37,7 +37,7 @@ fn tiny_config() -> FastGlConfig {
 #[test]
 fn graph_of_isolated_nodes_trains() {
     let data = bundle_from_graph(fastgl::graph::Csr::empty(64), 0.5);
-    let mut sys = FastGl::new(tiny_config());
+    let mut sys = Pipeline::fastgl(tiny_config());
     let s = sys.run_epoch(&data, 0);
     assert!(s.iterations > 0);
     // Only self-loops: every subgraph is exactly its seeds.
@@ -58,7 +58,7 @@ fn single_edge_graph_runs_every_system() {
 fn batch_larger_than_train_set_is_one_batch() {
     let data = Dataset::Products.generate_scaled(1.0 / 4096.0, 61);
     let huge_batch = tiny_config().with_batch_size(1_000_000);
-    let mut sys = FastGl::new(huge_batch);
+    let mut sys = Pipeline::fastgl(huge_batch);
     let s = sys.run_epoch(&data, 0);
     assert_eq!(s.iterations, 1);
 }
@@ -74,7 +74,7 @@ fn star_graph_hub_dominates_every_subgraph() {
     let data = bundle_from_graph(b.build(), 0.5);
     let mut cfg = tiny_config().with_cache_ratio(0.0);
     cfg.enable_reorder = false;
-    let mut sys = FastGl::new(cfg);
+    let mut sys = Pipeline::fastgl(cfg);
     let s = sys.run_epoch(&data, 0);
     assert!(s.iterations > 1);
     assert!(s.rows_reused > 0, "the hub must be reused across batches");
@@ -84,7 +84,7 @@ fn star_graph_hub_dominates_every_subgraph() {
 fn deep_sampling_on_tiny_graph_saturates_without_panic() {
     let data = Dataset::Reddit.generate_scaled(1.0 / 8192.0, 63);
     let cfg = tiny_config().with_fanouts(vec![8, 8, 8, 8, 8]);
-    let mut sys = FastGl::new(cfg);
+    let mut sys = Pipeline::fastgl(cfg);
     let s = sys.run_epoch(&data, 0);
     assert!(s.iterations > 0);
 }
@@ -112,7 +112,7 @@ fn eight_gpus_on_a_tiny_train_set_leave_empty_shards_out() {
         .extend_edges((0..63).map(|i| (i, i + 1)))
         .build();
     let data = bundle_from_graph(g, 10.0 / 64.0);
-    let mut sys = FastGl::new(tiny_config().with_gpus(8));
+    let mut sys = Pipeline::fastgl(tiny_config().with_gpus(8));
     let s = sys.run_epoch(&data, 0);
     assert!(s.iterations >= 1);
 }

@@ -2,7 +2,7 @@
 //! full pipeline: each must improve exactly the phase it targets, and
 //! stacking them must never hurt.
 
-use fastgl::core::{ComputeMode, FastGl, FastGlConfig, IdMapKind, TrainingSystem};
+use fastgl::core::{ComputeMode, FastGlConfig, IdMapKind, Pipeline, TrainingSystem};
 use fastgl::graph::{Dataset, DatasetBundle};
 
 fn data() -> DatasetBundle {
@@ -26,11 +26,11 @@ fn naive_config() -> FastGlConfig {
 #[test]
 fn match_reorder_cuts_io_and_only_io() {
     let data = data();
-    let naive = FastGl::new(naive_config()).run_epochs(&data, 2);
+    let naive = Pipeline::fastgl(naive_config()).run_epochs(&data, 2);
     let mut cfg = naive_config();
     cfg.enable_match = true;
     cfg.enable_reorder = true;
-    let mr = FastGl::new(cfg).run_epochs(&data, 2);
+    let mr = Pipeline::fastgl(cfg).run_epochs(&data, 2);
     assert!(
         mr.breakdown.io < naive.breakdown.io,
         "MR must cut IO: {} vs {}",
@@ -45,10 +45,10 @@ fn match_reorder_cuts_io_and_only_io() {
 #[test]
 fn memory_aware_cuts_compute_and_only_compute() {
     let data = data();
-    let naive = FastGl::new(naive_config()).run_epochs(&data, 2);
+    let naive = Pipeline::fastgl(naive_config()).run_epochs(&data, 2);
     let mut cfg = naive_config();
     cfg.compute_mode = ComputeMode::MemoryAware;
-    let ma = FastGl::new(cfg).run_epochs(&data, 2);
+    let ma = Pipeline::fastgl(cfg).run_epochs(&data, 2);
     assert!(
         ma.breakdown.compute < naive.breakdown.compute,
         "MA must cut compute: {} vs {}",
@@ -62,10 +62,10 @@ fn memory_aware_cuts_compute_and_only_compute() {
 #[test]
 fn fused_map_cuts_sample_and_only_sample() {
     let data = data();
-    let naive = FastGl::new(naive_config()).run_epochs(&data, 2);
+    let naive = Pipeline::fastgl(naive_config()).run_epochs(&data, 2);
     let mut cfg = naive_config();
     cfg.id_map = IdMapKind::Fused;
-    let fm = FastGl::new(cfg).run_epochs(&data, 2);
+    let fm = Pipeline::fastgl(cfg).run_epochs(&data, 2);
     assert!(
         fm.breakdown.sample < naive.breakdown.sample,
         "FM must cut sample: {} vs {}",
@@ -80,17 +80,17 @@ fn fused_map_cuts_sample_and_only_sample() {
 #[test]
 fn stacking_techniques_is_monotone() {
     let data = data();
-    let naive = FastGl::new(naive_config()).run_epochs(&data, 2);
+    let naive = Pipeline::fastgl(naive_config()).run_epochs(&data, 2);
     let mut mr = naive_config();
     mr.enable_match = true;
     mr.enable_reorder = true;
-    let s_mr = FastGl::new(mr.clone()).run_epochs(&data, 2);
+    let s_mr = Pipeline::fastgl(mr.clone()).run_epochs(&data, 2);
     let mut mr_ma = mr;
     mr_ma.compute_mode = ComputeMode::MemoryAware;
-    let s_mr_ma = FastGl::new(mr_ma.clone()).run_epochs(&data, 2);
+    let s_mr_ma = Pipeline::fastgl(mr_ma.clone()).run_epochs(&data, 2);
     let mut full = mr_ma;
     full.id_map = IdMapKind::Fused;
-    let s_full = FastGl::new(full).run_epochs(&data, 2);
+    let s_full = Pipeline::fastgl(full).run_epochs(&data, 2);
     assert!(s_mr.total() < naive.total());
     assert!(s_mr_ma.total() < s_mr.total());
     assert!(s_full.total() < s_mr_ma.total());
@@ -103,8 +103,8 @@ fn reorder_loads_no_more_rows_than_match_alone() {
     match_only.enable_match = true;
     let mut reordered = match_only.clone();
     reordered.enable_reorder = true;
-    let s_m = FastGl::new(match_only).run_epochs(&data, 3);
-    let s_r = FastGl::new(reordered).run_epochs(&data, 3);
+    let s_m = Pipeline::fastgl(match_only).run_epochs(&data, 3);
+    let s_r = Pipeline::fastgl(reordered).run_epochs(&data, 3);
     assert!(
         s_r.rows_loaded <= s_m.rows_loaded,
         "reorder loaded {} rows, match-only {}",
@@ -121,7 +121,7 @@ fn bigger_batches_raise_reuse_fraction() {
         let mut cfg = naive_config().with_batch_size(batch);
         cfg.enable_match = true;
         cfg.enable_reorder = true;
-        let s = FastGl::new(cfg).run_epochs(&data, 2);
+        let s = Pipeline::fastgl(cfg).run_epochs(&data, 2);
         s.rows_reused as f64 / (s.rows_reused + s.rows_loaded).max(1) as f64
     };
     let small = reuse(32);
