@@ -19,6 +19,7 @@
 use crate::system::EpochStats;
 use fastgl_gpusim::{PhaseBreakdown, SimTime};
 use fastgl_tensor::{AdamSlotState, AdamState};
+use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -139,16 +140,16 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Writes the checkpoint to `path` (atomically enough for a crash
-    /// drill: the file is complete when `save` returns).
+    /// Writes the checkpoint to `path` atomically: the bytes go to a
+    /// temporary file next to it (`<name>.tmp`), which is synced to disk and
+    /// then renamed over `path`. A save that fails or is killed part-way
+    /// leaves the previous checkpoint at `path` intact.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
+        save_atomically(path.as_ref(), |w| self.write_to(w))?;
         fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_SAVES, 1);
         Ok(())
     }
@@ -160,7 +161,7 @@ impl Checkpoint {
     /// Returns [`CheckpointError::Io`] on filesystem failure and
     /// [`CheckpointError::BadFormat`] on a truncated or corrupt file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let mut r = BufReader::new(std::fs::File::open(path)?);
+        let mut r = BufReader::new(File::open(path)?);
         let ckpt = Self::read_from(&mut r)?;
         fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_LOADS, 1);
         Ok(ckpt)
@@ -224,6 +225,44 @@ impl Checkpoint {
             simulation,
         })
     }
+}
+
+/// Writes `path` through a temporary file in the same directory: `encode`
+/// fills it, it is flushed and synced, then renamed over `path` and the
+/// directory synced. On any error the temporary file is removed and `path`
+/// is left as it was.
+fn save_atomically(
+    path: &Path,
+    encode: impl FnOnce(&mut BufWriter<File>) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("checkpoint path {} has no file name", path.display()),
+        )
+    })?;
+    let mut tmp_name = name.to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let written = (|| {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        encode(&mut w)?;
+        let file = w.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable only once the directory entry is synced.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
+    })();
+    if written.is_err() {
+        // Best effort: the temporary file may not exist or be removable.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn write_trainer<W: Write>(w: &mut W, t: &TrainerState) -> Result<(), CheckpointError> {
@@ -485,6 +524,58 @@ mod tests {
         ckpt.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A writer that accepts `budget` bytes and then fails, standing in
+    /// for a disk that fills up or a process killed mid-save.
+    struct FailAfter<'a, W> {
+        inner: &'a mut W,
+        budget: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<'_, W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("fastgl_ckpt_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let tmp = dir.join("run.ckpt.tmp");
+        let old = sample_checkpoint();
+        old.save(&path).unwrap();
+        let mut new = old.clone();
+        new.simulation = None;
+        let mut full = Vec::new();
+        new.write_to(&mut full).unwrap();
+        // Fail at the first byte, mid-header, mid-body and one byte short.
+        for budget in [0, 10, full.len() / 2, full.len() - 1] {
+            let err = save_atomically(&path, |w| new.write_to(&mut FailAfter { inner: w, budget }))
+                .unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Io(_)),
+                "budget {budget}: {err}"
+            );
+            assert_eq!(Checkpoint::load(&path).unwrap(), old, "budget {budget}");
+            assert!(!tmp.exists(), "budget {budget}: temporary file left behind");
+        }
+        // A save that completes replaces the checkpoint.
+        new.save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), new);
+        assert!(!tmp.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Several designs in the paper's landscape hide one stage behind another:
 //! DGL/PyG prefetch features during compute, GNNLab runs sampling on a
 //! dedicated GPU, FastGL prefetches the next subgraph's topology (§6.5).
-//! This module provides the standard pipeline bounds those designs obey so
-//! experiments can quantify the headroom overlap leaves on the table.
+//! This module holds the one overlap model they share: the depth-1
+//! two-stage pipeline bound and the producer time it leaves visible.
 
 use crate::timeline::SimTime;
 
@@ -33,21 +33,6 @@ pub fn two_stage_pipeline(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
     total + stage2[stage2.len() - 1]
 }
 
-/// Total time of the same items with no overlap (straight sum).
-pub fn sequential(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
-    stage1.iter().copied().sum::<SimTime>() + stage2.iter().copied().sum::<SimTime>()
-}
-
-/// The fraction of the sequential time that pipelining saves, in `[0, 1)`.
-pub fn overlap_saving(stage1: &[SimTime], stage2: &[SimTime]) -> f64 {
-    let seq = sequential(stage1, stage2).as_nanos() as f64;
-    if seq == 0.0 {
-        return 0.0;
-    }
-    let piped = two_stage_pipeline(stage1, stage2).as_nanos() as f64;
-    1.0 - piped / seq
-}
-
 /// Visible (unhidden) time of a producer stage whose item `i + 1` is
 /// produced while item `i` is consumed — the prefetch-depth-1 pipeline of
 /// the classic bound above. Returns the pipelined makespan minus the
@@ -66,32 +51,6 @@ pub fn hidden_stage_visible(producer: &[SimTime], consumer: &[SimTime]) -> SimTi
     two_stage_pipeline(producer, consumer).saturating_sub(consumed)
 }
 
-/// Steady-state fully-overlapped bound: with unbounded buffering only the
-/// producer's excess over the consumer is ever visible. Lower bound of
-/// [`hidden_stage_visible`] for the same totals.
-pub fn steady_state_visible(producer_total: SimTime, consumer_total: SimTime) -> SimTime {
-    producer_total.saturating_sub(consumer_total)
-}
-
-/// Steady-state throughput bound of a multi-stage pipeline: the epoch is
-/// limited by its slowest stage, `t ≈ Σ_i max_s stage_s[i]` plus the
-/// fill/drain of the other stages (ignored here; exact for long runs).
-pub fn bottleneck_bound(stages: &[Vec<SimTime>]) -> SimTime {
-    if stages.is_empty() || stages[0].is_empty() {
-        return SimTime::ZERO;
-    }
-    let items = stages[0].len();
-    let mut total = SimTime::ZERO;
-    for i in 0..items {
-        let slowest = stages
-            .iter()
-            .map(|s| s.get(i).copied().unwrap_or(SimTime::ZERO))
-            .fold(SimTime::ZERO, SimTime::max);
-        total += slowest;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,11 +63,9 @@ mod tests {
     fn balanced_pipeline_halves_time_asymptotically() {
         let s1 = vec![t(100); 50];
         let s2 = vec![t(100); 50];
-        let seq = sequential(&s1, &s2);
         let piped = two_stage_pipeline(&s1, &s2);
-        assert_eq!(seq.as_nanos(), 10_000);
+        // Half the 10 000 ns the two stages take back to back, plus one item.
         assert_eq!(piped.as_nanos(), 100 + 49 * 100 + 100);
-        assert!(overlap_saving(&s1, &s2) > 0.45);
     }
 
     #[test]
@@ -124,32 +81,11 @@ mod tests {
     fn single_item_has_no_overlap() {
         let piped = two_stage_pipeline(&[t(50)], &[t(70)]);
         assert_eq!(piped.as_nanos(), 120);
-        assert_eq!(overlap_saving(&[t(50)], &[t(70)]), 0.0);
     }
 
     #[test]
     fn empty_sequences() {
         assert_eq!(two_stage_pipeline(&[], &[]), SimTime::ZERO);
-        assert_eq!(sequential(&[], &[]), SimTime::ZERO);
-        assert_eq!(overlap_saving(&[], &[]), 0.0);
-        assert_eq!(bottleneck_bound(&[]), SimTime::ZERO);
-    }
-
-    #[test]
-    fn pipeline_never_beats_bottleneck_bound_or_loses_to_sequential() {
-        let s1: Vec<SimTime> = (0..30).map(|i| t(50 + i * 7)).collect();
-        let s2: Vec<SimTime> = (0..30).map(|i| t(200 - i * 3)).collect();
-        let piped = two_stage_pipeline(&s1, &s2);
-        let seq = sequential(&s1, &s2);
-        let bound = bottleneck_bound(&[s1.clone(), s2.clone()]);
-        assert!(piped <= seq);
-        assert!(piped >= bound);
-    }
-
-    #[test]
-    fn bottleneck_bound_takes_per_item_max() {
-        let stages = vec![vec![t(10), t(300)], vec![t(200), t(20)]];
-        assert_eq!(bottleneck_bound(&stages).as_nanos(), 200 + 300);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! modelling. This crate supplies the dense half of a GNN layer — the
 //! *update* phase of Eq. 2 — plus losses and optimisers:
 //!
-//! * [`Matrix`] — row-major `f32` matrices with blocked matmul and the
+//! * [`Matrix`] — row-major `f32` matrices with register-tiled matmul and the
 //!   transposed variants backward passes need.
 //! * [`ops`] — activations and row-wise softmax utilities.
 //! * [`loss`] — softmax cross-entropy with gradient, and accuracy.

@@ -4,18 +4,46 @@
 //! elementwise ops) run on the workspace's deterministic fork-join backend
 //! ([`crate::parallel`]): output rows are partitioned into contiguous
 //! chunks, each chunk is computed with the exact serial loop, and every
-//! per-element reduction keeps its fixed k-ascending accumulation order —
-//! so results are bit-identical at any thread count, and inputs below the
-//! per-kernel cutoffs never leave the calling thread.
+//! per-element reduction keeps its fixed accumulation order — so results
+//! are bit-identical at any thread count, and inputs below the per-kernel
+//! cutoffs never leave the calling thread.
+//!
+//! # The GEMM micro-kernel
+//!
+//! `matmul` and `matmul_transpose_a` compute each chunk in register tiles
+//! of `TILE_ROWS × TILE_COLS` (4 × 8) outputs. A tile's accumulators stay
+//! in registers for the whole reduction; `matmul_transpose_a` splits its
+//! reduction rows into panels of `T_A_PANEL` and takes the tile back to
+//! `out` between panels. Each accumulator starts at `+0.0` and adds
+//! `a · b` in the plain loop's order (k-ascending, or i-ascending for the
+//! transpose), so the tile gives the plain loop's bits with one
+//! difference: the plain loop skips a zero `a`, the tile does not. That is
+//! exact for a finite `b`: under round-to-nearest an accumulator that
+//! starts at `+0` never becomes `−0`, so adding `±0 · b = ±0` changes
+//! nothing. An inf or NaN `b` would make `0 · b` a NaN, so each call first
+//! checks that `rhs` is all finite (O(k·n)); if it is not, the whole call
+//! runs the zero-skipping loop, as do the edge rows and columns that do
+//! not fill a tile.
+//!
+//! The tile body is compiled twice: portably, and with AVX enabled, which
+//! each call picks when the host has AVX. FMA stays off, because a fused
+//! multiply-add rounds once where `a * b + c` rounds twice. NaN outputs
+//! may differ in sign and payload between builds: Rust fixes neither, for
+//! the old loop as much as for the tile.
 
 use crate::parallel;
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul, Range, Sub};
 
-/// Output-column stripe width of the matmul inner kernel. A 128-element
-/// stripe of the output row plus the matching stripe of one `rhs` row is
-/// 1 KiB — both stay L1-resident while the k loop streams over `rhs` rows.
-const MATMUL_J_BLOCK: usize = 128;
+/// Output rows of the GEMM micro-kernel's register tile.
+const TILE_ROWS: usize = 4;
+/// Output columns of the GEMM micro-kernel's register tile.
+const TILE_COLS: usize = 8;
+/// Reduction rows per `matmul_transpose_a` panel. Between panels a tile
+/// goes back to `out`, so the panel's rows of both inputs stay
+/// cache-resident across all the tiles that read them (128 measured faster
+/// than 64 or 256 at the 1500×128×64 weight-gradient shape).
+const T_A_PANEL: usize = 128;
 
 /// Rows of output each matmul worker claims at minimum, sized so a chunk
 /// amortises spawn/join over [`parallel::MATMUL_GRAIN_FLOPS`] multiply-adds.
@@ -139,11 +167,10 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self · rhs` using an ikj loop order (streams rows of
-    /// `rhs`, cache-friendly for row-major data), parallelised over
-    /// contiguous output-row chunks with the j loop blocked to L1-sized
-    /// stripes. Every output element accumulates in k-ascending order, so
-    /// the result is bit-identical at any thread count.
+    /// Matrix product `self · rhs` on the register-tiled GEMM kernel (see
+    /// the module docs). Parallelised over contiguous output-row chunks;
+    /// every output element accumulates in k-ascending order from `+0.0`,
+    /// so the result is bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -162,37 +189,11 @@ impl Matrix {
             "tensor.matmul_flops",
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        if n == 0 {
-            return out;
-        }
-        let grain = matmul_grain_rows(self.cols * n);
-        parallel::par_row_chunks_mut(&mut out.data, n, grain, |first_row, chunk| {
-            for (di, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = self.row(first_row + di);
-                let mut j0 = 0;
-                while j0 < n {
-                    let j1 = (j0 + MATMUL_J_BLOCK).min(n);
-                    let out_stripe = &mut out_row[j0..j1];
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_stripe = &rhs.row(k)[j0..j1];
-                        for (o, &b) in out_stripe.iter_mut().zip(b_stripe) {
-                            *o += a * b;
-                        }
-                    }
-                    j0 = j1;
-                }
-            }
-        });
-        out
+        gemm(Gemm::Nn, self, rhs, host_has_avx())
     }
 
     /// `selfᵀ · rhs`, without materialising the transpose (backward pass
-    /// weight gradient: `dW = Xᵀ · dY`).
+    /// weight gradient: `dW = Xᵀ · dY`), on the register-tiled GEMM kernel.
     ///
     /// Parallelised over contiguous chunks of *output* rows (= columns `k`
     /// of `self`): each worker owns a disjoint `k` range and scans all rows
@@ -218,29 +219,7 @@ impl Matrix {
             "tensor.matmul_flops",
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(self.cols, n);
-        if n == 0 {
-            return out;
-        }
-        let grain = matmul_grain_rows(self.rows * n);
-        parallel::par_row_chunks_mut(&mut out.data, n, grain, |first_k, chunk| {
-            let k_range = first_k..first_k + chunk.len() / n;
-            for i in 0..self.rows {
-                let a_row = &self.row(i)[k_range.clone()];
-                let b_row = rhs.row(i);
-                for (dk, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut chunk[dk * n..(dk + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
-        out
+        gemm(Gemm::Tn, self, rhs, host_has_avx())
     }
 
     /// `self · rhsᵀ`, without materialising the transpose (backward pass
@@ -428,6 +407,222 @@ impl Matrix {
             },
         );
         out
+    }
+}
+
+/// Which product [`gemm`] computes.
+#[derive(Clone, Copy)]
+enum Gemm {
+    /// `lhs · rhs`: output row `r` is row `r` of `lhs` times `rhs`.
+    Nn,
+    /// `lhsᵀ · rhs`: output row `r` is column `r` of `lhs` times `rhs`.
+    Tn,
+}
+
+/// Whether this host can run the AVX build of the GEMM body.
+fn host_has_avx() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Computes `op(lhs, rhs)` into a new matrix, running the AVX build of the
+/// GEMM body when `avx` is set (only where the host has AVX).
+fn gemm(op: Gemm, lhs: &Matrix, rhs: &Matrix, avx: bool) -> Matrix {
+    let (rows, depth) = match op {
+        Gemm::Nn => (lhs.rows, lhs.cols),
+        Gemm::Tn => (lhs.cols, lhs.rows),
+    };
+    let n = rhs.cols;
+    let mut out = Matrix::zeros(rows, n);
+    if n == 0 {
+        return out;
+    }
+    // The tiles add `±0·b` where the skip loop skips a zero `a`; that is a
+    // no-op only for finite `b` (module docs), so check `rhs` once here.
+    let tiled = rhs.data.iter().fold(true, |ok, x| ok & x.is_finite());
+    let grain = matmul_grain_rows(depth * n);
+    parallel::par_row_chunks_mut(&mut out.data, n, grain, |first, chunk| {
+        #[cfg(target_arch = "x86_64")]
+        if avx {
+            assert!(
+                std::arch::is_x86_feature_detected!("avx"),
+                "the AVX GEMM body needs a host with AVX"
+            );
+            // SAFETY: `gemm_chunk_avx` is safe code compiled with AVX
+            // enabled; its one requirement is a CPU that supports AVX,
+            // which the assert above has just checked.
+            unsafe { gemm_chunk_avx(op, lhs, rhs, tiled, first, chunk) };
+            return;
+        }
+        gemm_chunk(op, lhs, rhs, tiled, first, chunk);
+    });
+    out
+}
+
+/// [`gemm_chunk`] compiled with AVX. No FMA: a fused multiply-add rounds
+/// once where the portable build rounds twice, so it would change results.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn gemm_chunk_avx(
+    op: Gemm,
+    lhs: &Matrix,
+    rhs: &Matrix,
+    tiled: bool,
+    first: usize,
+    out: &mut [f32],
+) {
+    gemm_chunk(op, lhs, rhs, tiled, first, out);
+}
+
+/// Computes output rows `first..` of `op(lhs, rhs)` into `out`: full
+/// `TILE_ROWS × TILE_COLS` tiles on the register-tiled kernel when `tiled`,
+/// everything else on the zero-skipping loop.
+#[inline(always)]
+fn gemm_chunk(op: Gemm, lhs: &Matrix, rhs: &Matrix, tiled: bool, first: usize, out: &mut [f32]) {
+    let n = rhs.cols;
+    let rows = out.len() / n;
+    let (tile_rows, tile_cols) = if tiled {
+        (rows - rows % TILE_ROWS, n - n % TILE_COLS)
+    } else {
+        (0, 0)
+    };
+    match op {
+        Gemm::Nn => {
+            for r0 in (0..tile_rows).step_by(TILE_ROWS) {
+                let tile_out = &mut out[r0 * n..(r0 + TILE_ROWS) * n];
+                for j0 in (0..tile_cols).step_by(TILE_COLS) {
+                    nn_tile(lhs, rhs, first + r0, j0, tile_out);
+                }
+            }
+            nn_skip(lhs, rhs, first, 0..tile_rows, tile_cols..n, out);
+            nn_skip(lhs, rhs, first, tile_rows..rows, 0..n, out);
+        }
+        Gemm::Tn => {
+            for p0 in (0..lhs.rows).step_by(T_A_PANEL) {
+                let panel = p0..(p0 + T_A_PANEL).min(lhs.rows);
+                for r0 in (0..tile_rows).step_by(TILE_ROWS) {
+                    let tile_out = &mut out[r0 * n..(r0 + TILE_ROWS) * n];
+                    for j0 in (0..tile_cols).step_by(TILE_COLS) {
+                        tn_tile(lhs, rhs, panel.clone(), first + r0, j0, tile_out);
+                    }
+                }
+            }
+            tn_skip(lhs, rhs, first, 0..tile_rows, tile_cols..n, out);
+            tn_skip(lhs, rhs, first, tile_rows..rows, 0..n, out);
+        }
+    }
+}
+
+/// One `lhs · rhs` tile: output rows `row..row + TILE_ROWS` (the first
+/// `TILE_ROWS` rows of `out`), columns `j0..j0 + TILE_COLS`, accumulated in
+/// registers over the whole k range.
+#[inline(always)]
+fn nn_tile(lhs: &Matrix, rhs: &Matrix, row: usize, j0: usize, out: &mut [f32]) {
+    let n = rhs.cols;
+    assert!(j0 + TILE_COLS <= n, "tile columns out of range");
+    let [a0, a1, a2, a3]: [&[f32]; TILE_ROWS] = std::array::from_fn(|r| lhs.row(row + r));
+    let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+    let a_cols = a0.iter().zip(a1).zip(a2).zip(a3);
+    for (b_row, (((&x0, &x1), &x2), &x3)) in rhs.data.chunks_exact(n).zip(a_cols) {
+        let b = &b_row[j0..j0 + TILE_COLS];
+        for (acc_row, a) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for (o, &b) in acc_row.iter_mut().zip(b) {
+                *o += a * b;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j0..][..TILE_COLS].copy_from_slice(acc_row);
+    }
+}
+
+/// One `lhsᵀ · rhs` tile: output rows `k0..k0 + TILE_ROWS` (the first
+/// `TILE_ROWS` rows of `out`), columns `j0..j0 + TILE_COLS`, accumulated in
+/// registers over the reduction rows of `panel`, starting from `out`.
+#[inline(always)]
+fn tn_tile(lhs: &Matrix, rhs: &Matrix, panel: Range<usize>, k0: usize, j0: usize, out: &mut [f32]) {
+    let (m, n) = (lhs.cols, rhs.cols);
+    assert!(
+        k0 + TILE_ROWS <= m && j0 + TILE_COLS <= n,
+        "tile out of range"
+    );
+    let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out[r * n + j0..][..TILE_COLS]);
+    }
+    let a_rows = lhs.data[panel.start * m..panel.end * m].chunks_exact(m);
+    let b_rows = rhs.data[panel.start * n..panel.end * n].chunks_exact(n);
+    for (a_row, b_row) in a_rows.zip(b_rows) {
+        let b = &b_row[j0..j0 + TILE_COLS];
+        for (acc_row, &a) in acc.iter_mut().zip(&a_row[k0..k0 + TILE_ROWS]) {
+            for (o, &b) in acc_row.iter_mut().zip(b) {
+                *o += a * b;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j0..][..TILE_COLS].copy_from_slice(acc_row);
+    }
+}
+
+/// The zero-skipping `lhs · rhs` loop over output rows `rows` (relative to
+/// `first`) and columns `cols`: k-ascending, skipping every zero `a`.
+fn nn_skip(
+    lhs: &Matrix,
+    rhs: &Matrix,
+    first: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    out: &mut [f32],
+) {
+    if rows.is_empty() || cols.is_empty() {
+        return;
+    }
+    let n = rhs.cols;
+    for r in rows {
+        let out_row = &mut out[r * n..(r + 1) * n][cols.clone()];
+        for (k, &a) in lhs.row(first + r).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out_row.iter_mut().zip(&rhs.row(k)[cols.clone()]) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
+/// The zero-skipping `lhsᵀ · rhs` loop over output rows `rows` (relative to
+/// `first`) and columns `cols`: i-ascending, skipping every zero `a`.
+fn tn_skip(
+    lhs: &Matrix,
+    rhs: &Matrix,
+    first: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    out: &mut [f32],
+) {
+    if rows.is_empty() || cols.is_empty() {
+        return;
+    }
+    let n = rhs.cols;
+    for i in 0..lhs.rows {
+        let a_part = &lhs.row(i)[first + rows.start..first + rows.end];
+        let b = &rhs.row(i)[cols.clone()];
+        for (r, &a) in rows.clone().zip(a_part) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out[r * n..(r + 1) * n][cols.clone()].iter_mut().zip(b) {
+                *o += a * b;
+            }
+        }
     }
 }
 
@@ -634,23 +829,15 @@ mod tests {
     #[test]
     fn kernels_bit_identical_across_thread_counts() {
         use crate::parallel::test_util::with_threads;
-        // Sizes above every grain so the parallel path actually engages.
-        let a = fill(97, 193, 1);
-        let b = fill(193, 131, 2);
-        let c = fill(97, 131, 3);
-        let idx: Vec<usize> = (0..500).map(|i| (i * 37) % 97).collect();
-        let baseline = with_threads(1, || {
-            (
-                a.matmul(&b),
-                a.matmul_transpose_a(&c),
-                c.matmul_transpose_b(&b),
-                a.map(|x| x.max(0.0)),
-                a.hadamard(&a),
-                a.gather_rows(&idx),
-            )
-        });
-        for threads in [2usize, 3, 8] {
-            let got = with_threads(threads, || {
+        // Sizes above every grain so the parallel path actually engages;
+        // no dimension is a multiple of the GEMM tile, so every worker's
+        // chunk ends in edge rows and columns.
+        for (m, k, n) in [(97usize, 193usize, 131usize), (301, 67, 23), (250, 130, 37)] {
+            let a = fill(m, k, 1);
+            let b = fill(k, n, 2);
+            let c = fill(m, n, 3);
+            let idx: Vec<usize> = (0..500).map(|i| (i * 37) % m).collect();
+            let run = || {
                 (
                     a.matmul(&b),
                     a.matmul_transpose_a(&c),
@@ -659,24 +846,163 @@ mod tests {
                     a.hadamard(&a),
                     a.gather_rows(&idx),
                 )
+            };
+            let baseline = with_threads(1, run);
+            for threads in [2usize, 3, 8] {
+                let got = with_threads(threads, run);
+                let at = format!("{m}x{k}x{n} t={threads}");
+                assert_eq!(got.0.as_slice(), baseline.0.as_slice(), "matmul {at}");
+                assert_eq!(got.1.as_slice(), baseline.1.as_slice(), "t_a {at}");
+                assert_eq!(got.2.as_slice(), baseline.2.as_slice(), "t_b {at}");
+                assert_eq!(got.3.as_slice(), baseline.3.as_slice(), "map {at}");
+                assert_eq!(got.4.as_slice(), baseline.4.as_slice(), "hadamard {at}");
+                assert_eq!(got.5.as_slice(), baseline.5.as_slice(), "gather {at}");
+            }
+        }
+    }
+
+    /// `matmul` before the register tile: the ikj loop, k-ascending from
+    /// `+0.0`, skipping every zero `a`.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// `matmul_transpose_a` before the register tile: i-ascending from
+    /// `+0.0`, skipping every zero `a`.
+    fn reference_matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(k).iter_mut().zip(b.row(i)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// Deterministic fill where about every third entry is a special
+    /// value: signed zeros, `MIN_POSITIVE`, subnormals, ±1e30 and, unless
+    /// `finite`, ±inf and NaN.
+    fn special_fill(rows: usize, cols: usize, salt: u64, finite: bool) -> Matrix {
+        const FINITE: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-40,
+            -3e-42,
+            1e30,
+            -1e30,
+        ];
+        const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let data = fill(rows, cols, salt)
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                match h % 48 {
+                    0..=15 => FINITE[(h / 48) as usize % FINITE.len()],
+                    16 if !finite => NON_FINITE[(h / 48) as usize % NON_FINITE.len()],
+                    _ => x,
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// `to_bits` of every element, with each NaN canonicalised: Rust fixes
+    /// neither the sign nor the payload of a NaN that arithmetic produces.
+    fn canonical_bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice()
+            .iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Checks both GEMMs on `a` (m×k), `b` (k×n) and `c` (m×n) against the
+    /// pre-tile loops at each thread count, in every build of the GEMM body
+    /// this host can run. Returns the references' bits.
+    fn assert_gemms_match_references(
+        a: &Matrix,
+        b: &Matrix,
+        c: &Matrix,
+        threads: &[usize],
+        at: &str,
+    ) -> (Vec<u32>, Vec<u32>) {
+        use crate::parallel::test_util::with_threads;
+        let want_nn = canonical_bits(&reference_matmul(a, b));
+        let want_tn = canonical_bits(&reference_matmul_transpose_a(a, c));
+        let builds: &[bool] = if host_has_avx() {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &t in threads {
+            with_threads(t, || {
+                for &avx in builds {
+                    let got_nn = canonical_bits(&gemm(Gemm::Nn, a, b, avx));
+                    assert_eq!(got_nn, want_nn, "matmul avx={avx} {at} t={t}");
+                    let got_tn = canonical_bits(&gemm(Gemm::Tn, a, c, avx));
+                    assert_eq!(got_tn, want_tn, "t_a avx={avx} {at} t={t}");
+                }
             });
+        }
+        (want_nn, want_tn)
+    }
+
+    #[test]
+    fn tiled_gemms_match_the_skip_loops_bit_for_bit() {
+        // Every tile edge: all m, k, n in 1..=19. These are below every
+        // parallel grain, so one thread count covers them.
+        for m in 1..=19 {
+            for k in 1..=19 {
+                for n in 1..=19 {
+                    let salt = (m * 400 + k * 20 + n) as u64;
+                    for (lhs_finite, rhs_finite) in [(true, true), (false, true), (false, false)] {
+                        let a = special_fill(m, k, salt, lhs_finite);
+                        let b = special_fill(k, n, salt + 1, rhs_finite);
+                        let c = special_fill(m, n, salt + 2, rhs_finite);
+                        let at = format!("{m}x{k}x{n} finite lhs={lhs_finite} rhs={rhs_finite}");
+                        assert_gemms_match_references(&a, &b, &c, &[1], &at);
+                    }
+                }
+            }
+        }
+        // The traced epoch's layer-0 shape, split across workers. The
+        // public methods pick the build the host runs.
+        for rhs_finite in [true, false] {
+            let a = special_fill(1500, 128, 7, true);
+            let b = special_fill(128, 64, 8, rhs_finite);
+            let c = special_fill(1500, 64, 9, rhs_finite);
+            let at = format!("1500x128x64 rhs finite={rhs_finite}");
+            let (want_nn, want_tn) = assert_gemms_match_references(&a, &b, &c, &[1, 2, 8], &at);
+            assert_eq!(canonical_bits(&a.matmul(&b)), want_nn, "public matmul {at}");
             assert_eq!(
-                got.0.as_slice(),
-                baseline.0.as_slice(),
-                "matmul t={threads}"
-            );
-            assert_eq!(got.1.as_slice(), baseline.1.as_slice(), "t_a t={threads}");
-            assert_eq!(got.2.as_slice(), baseline.2.as_slice(), "t_b t={threads}");
-            assert_eq!(got.3.as_slice(), baseline.3.as_slice(), "map t={threads}");
-            assert_eq!(
-                got.4.as_slice(),
-                baseline.4.as_slice(),
-                "hadamard t={threads}"
-            );
-            assert_eq!(
-                got.5.as_slice(),
-                baseline.5.as_slice(),
-                "gather t={threads}"
+                canonical_bits(&a.matmul_transpose_a(&c)),
+                want_tn,
+                "public t_a {at}"
             );
         }
     }
